@@ -528,11 +528,15 @@ func errList(s *BuildSummary) []error {
 }
 
 // Predictor is the trained congestion estimator: one regressor per
-// congestion target plus the feature scaler.
+// congestion target plus the feature scaler. A GBRT predictor also holds
+// its three ensembles compiled for raw rows (gbrt.Compile: the scaler
+// folded into the thresholds, the targets fused); it is derived at Train
+// and load time and never persisted.
 type Predictor struct {
-	Kind   ModelKind
-	scaler *ml.Scaler
-	models map[dataset.Target]ml.Regressor
+	Kind     ModelKind
+	scaler   *ml.Scaler
+	models   map[dataset.Target]ml.Regressor
+	compiled *gbrt.Compiled
 }
 
 // TrainOptions tunes predictor training.
@@ -568,7 +572,32 @@ func Train(ds *dataset.Dataset, opts TrainOptions) (*Predictor, error) {
 		}
 		p.models[t] = m
 	}
+	if err := p.compile(); err != nil {
+		return nil, fmt.Errorf("core: train: %w", err)
+	}
 	return p, nil
+}
+
+// compile builds the GBRT scoring form PredictSample and PredictBatchInto
+// use; other model kinds keep the scaler + per-model path.
+func (p *Predictor) compile() error {
+	if p.Kind != GBRT {
+		return nil
+	}
+	ms := make([]*gbrt.Model, len(dataset.Targets))
+	for i, t := range dataset.Targets {
+		m, ok := p.models[t].(*gbrt.Model)
+		if !ok {
+			return fmt.Errorf("GBRT predictor has a %T model for %s", p.models[t], t)
+		}
+		ms[i] = m
+	}
+	c, err := gbrt.Compile(ms, p.scaler.Mean, p.scaler.Std)
+	if err != nil {
+		return err
+	}
+	p.compiled = c
+	return nil
 }
 
 // Model exposes the trained regressor for a target (nil if missing).
@@ -625,6 +654,11 @@ var predScratchPool = sync.Pool{New: func() any { return &predScratch{} }}
 // PredictSample estimates all three congestion metrics for one raw feature
 // vector. Steady-state calls do not allocate.
 func (p *Predictor) PredictSample(feats []float64) (vert, horiz, avg float64) {
+	if c := p.compiled; c != nil {
+		var out [3]float64
+		c.PredictRowInto(out[:], feats)
+		return out[0], out[1], out[2]
+	}
 	ps := predScratchPool.Get().(*predScratch)
 	if cap(ps.row) < len(feats) {
 		ps.row = make([]float64, len(feats))
@@ -640,9 +674,10 @@ func (p *Predictor) PredictSample(feats []float64) (vert, horiz, avg float64) {
 
 // PredictBatchInto estimates all three congestion metrics for a batch of
 // raw feature vectors, writing into the caller-owned output slices (each
-// len(feats)). Rows are standardized into a pooled flat matrix and each
-// model takes its allocation-free batch path (GBRT walks its flattened
-// forest), so steady-state calls do not allocate. Values are identical to
+// len(feats)). A GBRT predictor scores the raw rows through its compiled
+// ensembles in one pass; other kinds standardize the rows into a pooled
+// flat matrix and each model takes its allocation-free batch path. Either
+// way steady-state calls do not allocate, and values are identical to
 // PredictSample per row.
 //
 // Every row must have exactly NumFeatures entries; a ragged or mis-sized
@@ -655,6 +690,11 @@ func (p *Predictor) PredictBatchInto(vert, horiz, avg []float64, feats [][]float
 	}
 	if err := p.validateBatch(feats); err != nil {
 		return err
+	}
+	if c := p.compiled; c != nil {
+		out := [3][]float64{vert, horiz, avg}
+		c.PredictBatchInto(out[:], feats)
+		return nil
 	}
 	ps := predScratchPool.Get().(*predScratch)
 	p.scaler.TransformRowsInto(&ps.m, feats)
@@ -691,9 +731,11 @@ func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction
 	if len(ops) == 0 {
 		return nil, nil
 	}
+	// One flat backing for every op's vector instead of one allocation each.
+	flat := make([]float64, len(ops)*features.NumFeatures)
 	feats := make([][]float64, len(ops))
 	for i, o := range ops {
-		feats[i] = ex.Vector(o)
+		feats[i] = ex.VectorInto(flat[i*features.NumFeatures:(i+1)*features.NumFeatures], o)
 	}
 	vert := make([]float64, len(ops))
 	horiz := make([]float64, len(ops))

@@ -95,6 +95,9 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 		}
 		p.models[t] = m
 	}
+	if err := p.compile(); err != nil {
+		return nil, fmt.Errorf("core: load predictor: %w", err)
+	}
 	if err := p.probe(); err != nil {
 		return nil, fmt.Errorf("core: load predictor: %w", err)
 	}
@@ -120,7 +123,9 @@ func LoadPredictorFile(path string) (*Predictor, error) {
 }
 
 // validScaler rejects scalers that would corrupt or crash prediction:
-// wrong vector lengths, non-finite statistics.
+// wrong vector lengths, non-finite statistics, and deviations ≤ 0 (the
+// GBRT threshold fold is exact only for a positive deviation; FitScaler
+// never produces one below 1e-12).
 func validScaler(s *ml.Scaler) error {
 	if s == nil {
 		return fmt.Errorf("missing scaler")
@@ -131,6 +136,9 @@ func validScaler(s *ml.Scaler) error {
 	for j := range s.Mean {
 		if !finite(s.Mean[j]) || !finite(s.Std[j]) {
 			return fmt.Errorf("scaler statistic %d is not finite", j)
+		}
+		if s.Std[j] <= 0 {
+			return fmt.Errorf("scaler deviation %d is %v, want > 0", j, s.Std[j])
 		}
 	}
 	return nil

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -31,6 +33,20 @@ func corpusPredictor() *Predictor {
 	return p
 }
 
+// gbrtArtifact is a hand-written GBRT predictor whose three models are one
+// split on feature 0; children is spliced into every split.
+func gbrtArtifact(children string) string {
+	mean := strings.TrimSuffix(strings.Repeat("0,", features.NumFeatures), ",")
+	std := strings.TrimSuffix(strings.Repeat("1,", features.NumFeatures), ",")
+	model := fmt.Sprintf(`{"base":1,"trees":[[{"f":0,"t":0.5,%s},{"f":-1,"v":1},{"f":-1,"v":2}]],"thresholds":[[0.5]],"split_count":[1]}`, children)
+	var ms []string
+	for _, t := range dataset.Targets {
+		ms = append(ms, fmt.Sprintf("%q:%s", t.String(), model))
+	}
+	return fmt.Sprintf(`{"kind":%d,"num_features":%d,"scaler":{"Mean":[%s],"Std":[%s]},"models":{%s}}`,
+		int(GBRT), features.NumFeatures, mean, std, strings.Join(ms, ","))
+}
+
 // FuzzLoadPredictor feeds arbitrary bytes to the predictor loader:
 // corrupted or truncated payloads must produce an error, never a panic,
 // and any accepted predictor must survive a predict + save/load round-trip
@@ -46,6 +62,8 @@ func FuzzLoadPredictor(f *testing.F) {
 	f.Add([]byte(`{"kind":0,"num_features":302,"scaler":{"Mean":[0],"Std":[0]}}`))
 	f.Add(bytes.Replace(valid.Bytes(), []byte("0.5"), []byte("1e999"), 1))
 	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add([]byte(gbrtArtifact(`"l":1,"r":2`)))
+	f.Add([]byte(gbrtArtifact(`"l":0,"r":0`))) // self-loop: must not hang the probe
 
 	probe := make([]float64, features.NumFeatures)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -84,6 +84,15 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 				if nd.L < 0 || nd.L >= len(nodes) || nd.R < 0 || nd.R >= len(nodes) {
 					return fmt.Errorf("gbrt: tree %d node %d has dangling children", ti, i)
 				}
+				// Fit emits trees in preorder, so every child follows its
+				// parent; a child at or before its parent could loop, and
+				// prediction would never reach a leaf.
+				if nd.L <= i || nd.R <= i {
+					return fmt.Errorf("gbrt: tree %d node %d has a child at or before itself", ti, i)
+				}
+				if nd.F >= len(in.Thresholds) {
+					return fmt.Errorf("gbrt: tree %d node %d splits on feature %d of %d", ti, i, nd.F, len(in.Thresholds))
+				}
 			}
 			t.nodes = append(t.nodes, node{
 				feature: int32(nd.F), bin: nd.B, thresh: nd.T, left: int32(nd.L), right: int32(nd.R), value: nd.V,

@@ -68,6 +68,29 @@ func TestGBRTUnmarshalRejectsCorruptTrees(t *testing.T) {
 	if err := json.Unmarshal([]byte(bad), &m); err == nil {
 		t.Fatal("dangling children accepted")
 	}
+	// A split whose child is itself (or any earlier node) would loop
+	// forever at predict time.
+	for _, loop := range []string{
+		`{"trees":[[{"f":0,"t":1,"l":0,"r":0}]],"thresholds":[[1]]}`,
+		`{"trees":[[{"f":0,"t":1,"l":1,"r":2},{"f":0,"t":2,"l":0,"r":2},{"f":-1,"v":1}]],"thresholds":[[1]]}`,
+	} {
+		if err := json.Unmarshal([]byte(loop), &m); err == nil {
+			t.Fatalf("looping tree accepted: %s", loop)
+		}
+	}
+	// A split feature must index the model's own feature set.
+	for _, f := range []string{
+		`{"trees":[[{"f":1,"t":1,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]],"thresholds":[[1]]}`,
+		`{"trees":[[{"f":0,"t":1,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]]}`,
+	} {
+		if err := json.Unmarshal([]byte(f), &m); err == nil {
+			t.Fatalf("out-of-range split feature accepted: %s", f)
+		}
+	}
+	ok := `{"trees":[[{"f":0,"t":1,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}]],"thresholds":[[1]]}`
+	if err := json.Unmarshal([]byte(ok), &m); err != nil {
+		t.Fatalf("well-formed tree rejected: %v", err)
+	}
 	empty := `{"trees":[[]]}`
 	if err := json.Unmarshal([]byte(empty), &m); err == nil {
 		t.Fatal("empty tree accepted")

@@ -46,11 +46,12 @@ echo "== ml equivalence (-race) =="
 go test -race -count=1 -run 'Equivalence' \
 	./internal/ml/ ./internal/ml/gbrt/ ./internal/ml/ann/ ./internal/ml/lasso/
 
-# Steady-state serving must not allocate. Runs without -race on purpose:
+# Steady-state serving must not allocate — the models' batch paths and the
+# predictor's (compiled GBRT included). Runs without -race on purpose:
 # the race detector makes sync.Pool drop Puts at random, which makes
 # allocation counts meaningless (the guards skip themselves there).
 echo "== ml zero-alloc guards =="
-go test -count=1 -run 'ZeroAlloc' ./internal/ml/
+go test -count=1 -run 'ZeroAlloc' ./internal/ml/ ./internal/core/
 
 # The serving layer's allocation contract: the whole /predict hot path —
 # admission, pooled decode (both wire formats), coalescing, prediction,
