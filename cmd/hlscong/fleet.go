@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/flow"
@@ -80,19 +79,14 @@ func runBuild(ctx context.Context, cfg experiments.Config, ff fleetFlags) error 
 		Checkpoint: cfg.Checkpoint,
 	}
 
-	var (
-		ds       *dataset.Dataset
-		summary  *core.BuildSummary
-		buildErr error
-	)
-	if ff.serveBuilds == "" {
-		ds, _, summary, buildErr = core.BuildDatasetContext(ctx, mods, fcfg, opts)
-	} else {
+	exec := core.LocalExecutor(opts.Workers, opts.Retry)
+	var coord *fleet.Coordinator
+	if ff.serveBuilds != "" {
 		spec, err := fleet.NewBuildSpec(mods, fcfg, labelRuns, opts.Retry)
 		if err != nil {
 			return err
 		}
-		coord, err := fleet.NewCoordinator(spec, fleet.CoordinatorOptions{
+		coord, err = fleet.NewCoordinator(spec, fleet.CoordinatorOptions{
 			LeaseTTL: ff.leaseTTL,
 			Obs:      fcfg.Obs,
 		})
@@ -128,7 +122,11 @@ func runBuild(ctx context.Context, cfg experiments.Config, ff fleetFlags) error 
 		}
 		fmt.Fprintf(os.Stderr, "hlscong: coordinating fleet build on %s (%d modules × %d label runs)\n",
 			bound, len(mods), labelRuns)
-		ds, _, summary, buildErr = core.BuildDatasetExec(ctx, mods, fcfg, opts, coord.Execute)
+		exec = coord.Execute
+	}
+
+	ds, _, summary, buildErr := core.BuildDatasetExec(ctx, mods, fcfg, opts, exec)
+	if coord != nil {
 		st := coord.StatusSnapshot()
 		fmt.Fprintf(os.Stderr,
 			"hlscong: fleet: %d cells done, %d failed, %d steals, %d leases expired, %d duplicate, %d rejected completions\n",

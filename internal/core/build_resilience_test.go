@@ -80,13 +80,3 @@ func TestBuildCancelledContextAborts(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
-
-func TestBuildWithoutFaultsMatchesLegacyPath(t *testing.T) {
-	ds, results, err := BuildDatasetRuns(tinyModules()[:1], quickFlow(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() == 0 || len(results) != 1 {
-		t.Fatal("legacy wrapper returned no data")
-	}
-}

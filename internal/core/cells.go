@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/backtrace"
 	"repro/internal/dataset"
 	"repro/internal/flow"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -61,11 +66,12 @@ type CellOutcome struct {
 // grid order, and the per-cell flow configuration (cfgs[i] belongs to
 // cells[i], with the seed already derived via CellConfig). It must return
 // exactly one outcome per requested cell, aligned with the input order. A
-// non-nil error aborts the build — every unfinished cell is reported as
-// failed with that error, mirroring a cancelled worker pool.
+// non-nil error aborts the build: the outcomes it did return are kept,
+// and every unfinished cell (neither Res nor Err) is reported as failed
+// with that error — a nil outcome slice fails every cell.
 //
-// The fleet coordinator (internal/fleet) is the remote implementation;
-// LocalExecutor is the in-process reference.
+// LocalExecutor is the in-process implementation every local build runs
+// on; the fleet coordinator (internal/fleet) is the remote one.
 type CellExecutor func(ctx context.Context, mods []*ir.Module, cells []Cell, cfgs []flow.Config) ([]CellOutcome, error)
 
 // BuildDatasetExec is BuildDatasetContext with cell execution delegated to
@@ -73,15 +79,14 @@ type CellExecutor func(ctx context.Context, mods []*ir.Module, cells []Cell, cfg
 // summary accounting and error joining are exactly the local build's, so
 // an executor that returns the same per-cell flow results yields a
 // byte-identical dataset — the guarantee the distributed build fleet's
-// determinism tests pin. A nil exec falls back to the local worker pool.
+// determinism tests pin.
 func BuildDatasetExec(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts BuildOptions, exec CellExecutor) (*dataset.Dataset, []*flow.Result, *BuildSummary, error) {
 	return buildDataset(ctx, mods, cfg, opts, exec)
 }
 
 // execCells runs the non-restored cells of the grid through a
-// CellExecutor and scatters the outcomes back into the module-major cell
-// array the reducer consumes, tracing successful results exactly like the
-// local pool does on its workers.
+// CellExecutor, scatters the outcomes back into the module-major cell
+// array the reducer consumes, and back-traces every successful result.
 func execCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRuns int, done []bool, exec CellExecutor) []runCell {
 	grid := make([]runCell, len(mods)*labelRuns)
 	var want []Cell
@@ -95,18 +100,11 @@ func execCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRun
 		cfgs = append(cfgs, CellConfig(cfg, run))
 	}
 	outcomes, err := exec(ctx, mods, want, cfgs)
-	if err == nil && len(outcomes) != len(want) {
-		err = fmt.Errorf("core: cell executor returned %d outcomes for %d cells", len(outcomes), len(want))
-	}
-	if err != nil {
-		// Abort semantics match a cancelled worker pool: every cell that
-		// was supposed to run carries the abort cause, and the reducer
-		// reports the modules as failed (or the whole build as cancelled
-		// when the context is dead).
-		for _, c := range want {
-			grid[c.Index(labelRuns)].err = err
+	if len(outcomes) != len(want) {
+		if err == nil {
+			err = fmt.Errorf("core: cell executor returned %d outcomes for %d cells", len(outcomes), len(want))
 		}
-		return grid
+		outcomes = make([]CellOutcome, len(want))
 	}
 	for i, c := range want {
 		k := c.Index(labelRuns)
@@ -114,24 +112,70 @@ func execCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRun
 		switch {
 		case o.Err != nil:
 			grid[k].err = o.Err
-		case o.Res == nil:
-			grid[k].err = fmt.Errorf("core: cell executor returned no result for module %d run %d", c.Module, c.Run)
-		default:
+		case o.Res != nil:
 			grid[k].res = o.Res
 			grid[k].traced = backtrace.Trace(o.Res)
+		case err != nil:
+			// Abort semantics match a cancelled worker pool: a cell the
+			// executor never finished carries the abort cause, and the
+			// reducer reports its module as failed (or the whole build as
+			// cancelled when the context is dead).
+			grid[k].err = err
+		default:
+			grid[k].err = fmt.Errorf("core: cell executor returned no result for module %d run %d", c.Module, c.Run)
 		}
 	}
 	return grid
 }
 
-// LocalExecutor returns a CellExecutor that runs cells on the in-process
-// worker pool with the given concurrency and retry policy — the reference
-// implementation remote executors are proven byte-identical against.
+// errRunSkipped marks a label run never executed because an earlier seed
+// of the same module had already failed. The reduce stops at that earlier
+// failure, so this sentinel never reaches a caller; it only saves flow
+// runs the sequential build would not have made either.
+var errRunSkipped = errors.New("core: label run skipped after an earlier seed failed")
+
+// LocalExecutor returns the CellExecutor every in-process build runs on:
+// cells fan out on a worker pool of the given width (see
+// BuildOptions.Workers), each flow run retried under retry. Every cell
+// opens a "module.run" span on the build's context and records its wall
+// time in build.run_ms. Once a label run of a module fails, the module's
+// later runs are skipped best-effort, mirroring the sequential early exit.
+// The per-cell seed comes from cfgs alone, never from scheduling, so every
+// width produces the same outcomes.
 func LocalExecutor(workers int, retry flow.RetryPolicy) CellExecutor {
 	return func(ctx context.Context, mods []*ir.Module, cells []Cell, cfgs []flow.Config) ([]CellOutcome, error) {
 		out := make([]CellOutcome, len(cells))
+		// failedAt[m] is the lowest label run of module m that has failed
+		// so far (MaxInt64 = none yet).
+		failedAt := make([]atomic.Int64, len(mods))
+		for i := range failedAt {
+			failedAt[i].Store(math.MaxInt64)
+		}
 		perr := parallel.ForEach(ctx, len(cells), workers, func(ctx context.Context, i int) {
-			res, err := flow.RunWithRetry(ctx, mods[cells[i].Module], cfgs[i], retry)
+			c, o := cells[i], cfgs[i].Obs
+			run := int64(c.Run)
+			if run > failedAt[c.Module].Load() {
+				out[i].Err = errRunSkipped
+				return
+			}
+			var sp *obs.Span
+			t0 := time.Now()
+			if obs.Tracing(ctx, o) {
+				ctx, sp = obs.StartSpan(ctx, o, "module.run",
+					obs.String("module", mods[c.Module].Name), obs.Int("label_run", run))
+			}
+			res, err := flow.RunWithRetry(ctx, mods[c.Module], cfgs[i], retry)
+			sp.SetError(err)
+			sp.End()
+			o.ObserveMs(obs.MetricBuildRunMs, time.Since(t0))
+			if err != nil {
+				for {
+					cur := failedAt[c.Module].Load()
+					if run >= cur || failedAt[c.Module].CompareAndSwap(cur, run) {
+						break
+					}
+				}
+			}
 			out[i] = CellOutcome{Res: res, Err: err}
 		})
 		return out, perr

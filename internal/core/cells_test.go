@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/flow"
 	"repro/internal/ir"
@@ -104,5 +105,59 @@ func TestBuildDatasetExecShortReturn(t *testing.T) {
 		BuildOptions{LabelRuns: 2}, exec)
 	if err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Fatalf("short executor return error = %v, want outcome-count error", err)
+	}
+}
+
+// cancelOnDesign is a faults.Injector that injects nothing: it cancels the
+// build's context when the flow checks a stage of design.
+type cancelOnDesign struct {
+	design string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnDesign) Check(design, _ string, _ int) error {
+	if design == c.design {
+		c.cancel()
+	}
+	return nil
+}
+
+// TestBuildDatasetCancelMidBuildKeepsFinishedModules pins the cancellation
+// contract on both local entry points: a build cancelled once its first
+// module has finished keeps that module's samples, result and flow runs,
+// and reports the cancellation.
+func TestBuildDatasetCancelMidBuildKeepsFinishedModules(t *testing.T) {
+	const labelRuns = 2
+	type buildFunc func(context.Context, []*ir.Module, flow.Config, BuildOptions) (*dataset.Dataset, []*flow.Result, *BuildSummary, error)
+	entries := []struct {
+		name  string
+		build buildFunc
+	}{
+		{"BuildDatasetContext", BuildDatasetContext},
+		{"BuildDatasetExec/LocalExecutor", func(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts BuildOptions) (*dataset.Dataset, []*flow.Result, *BuildSummary, error) {
+			return BuildDatasetExec(ctx, mods, cfg, opts, LocalExecutor(1, opts.Retry))
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			mods := tinyModules()
+			cfg := quickFlow()
+			cfg.Faults = cancelOnDesign{design: mods[1].Name, cancel: cancel}
+			ds, results, sum, err := e.build(ctx, mods, cfg, BuildOptions{LabelRuns: labelRuns, Workers: 1})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(results) != 1 || results[0].Mod.Name != mods[0].Name {
+				t.Fatalf("kept %d results, want module %q only", len(results), mods[0].Name)
+			}
+			if sum.Succeeded != 1 || sum.FlowRuns != labelRuns {
+				t.Fatalf("summary %+v, want 1 module and %d flow runs", sum, labelRuns)
+			}
+			if ds == nil || ds.Len() == 0 {
+				t.Fatal("finished module's samples were dropped")
+			}
+		})
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/backtrace"
 	"repro/internal/dataset"
@@ -29,7 +27,6 @@ import (
 	"repro/internal/ml/gbrt"
 	"repro/internal/ml/lasso"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/store"
 )
 
@@ -188,11 +185,15 @@ type BuildOptions struct {
 	// values below 1 mean 1.
 	LabelRuns int
 	// Retry governs per-flow-run retries with escalation. The zero value
-	// disables retrying (single attempt per run).
+	// disables retrying (single attempt per run). BuildDatasetContext
+	// hands it to LocalExecutor; a CellExecutor passed to
+	// BuildDatasetExec applies its own retry policy.
 	Retry flow.RetryPolicy
 	// Workers bounds how many flow runs execute concurrently. Zero (the
 	// default) uses runtime.GOMAXPROCS(0); 1 forces the sequential
-	// reference execution. Whatever the value, the build is deterministic:
+	// reference execution. BuildDatasetContext hands it to LocalExecutor;
+	// a CellExecutor passed to BuildDatasetExec owns its own concurrency.
+	// Whatever the value, the build is deterministic:
 	// every run derives its placement seed from Config.Seed and its
 	// (module, label-run) position alone, and results are reduced in index
 	// order, so the dataset, summary and joined error are byte-identical
@@ -247,14 +248,7 @@ func (s *BuildSummary) Err() error { return errors.Join(errList(s)...) }
 // extracts features and assembles the combined dataset — the training
 // phase of Fig. 2. The returned flow results are the first run per module.
 func BuildDataset(mods []*ir.Module, cfg flow.Config) (*dataset.Dataset, []*flow.Result, error) {
-	return BuildDatasetRuns(mods, cfg, LabelRuns)
-}
-
-// BuildDatasetRuns is BuildDataset with an explicit number of label-
-// averaging placement runs; the ablation experiments use it to quantify
-// what the averaging buys.
-func BuildDatasetRuns(mods []*ir.Module, cfg flow.Config, labelRuns int) (*dataset.Dataset, []*flow.Result, error) {
-	ds, results, _, err := BuildDatasetContext(context.Background(), mods, cfg, BuildOptions{LabelRuns: labelRuns})
+	ds, results, _, err := BuildDatasetContext(context.Background(), mods, cfg, BuildOptions{LabelRuns: LabelRuns})
 	return ds, results, err
 }
 
@@ -275,13 +269,13 @@ func BuildDatasetRuns(mods []*ir.Module, cfg flow.Config, labelRuns int) (*datas
 // sequential reduce over the per-cell results, so any worker count yields
 // byte-identical output (see TestBuildDatasetDeterministicAcrossWorkers).
 func BuildDatasetContext(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts BuildOptions) (*dataset.Dataset, []*flow.Result, *BuildSummary, error) {
-	return buildDataset(ctx, mods, cfg, opts, nil)
+	return buildDataset(ctx, mods, cfg, opts, LocalExecutor(opts.Workers, opts.Retry))
 }
 
 // buildDataset is the shared build pipeline: checkpoint restore, cell
-// execution (the internal worker pool when exec is nil, the caller's
-// CellExecutor otherwise — see BuildDatasetExec), and the index-ordered
-// assembly that makes the output independent of how cells were scheduled.
+// execution through exec (LocalExecutor in process, or the caller's — see
+// BuildDatasetExec), and the index-ordered assembly that makes the output
+// independent of how cells were scheduled.
 func buildDataset(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts BuildOptions, exec CellExecutor) (*dataset.Dataset, []*flow.Result, *BuildSummary, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -292,7 +286,7 @@ func buildDataset(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts 
 	}
 	// One "dataset.build" span wraps the whole build; each (module,
 	// label-run) cell starts its own child span on whatever worker runs
-	// it (see runCells). Observation happens at cell granularity so the
+	// it (see LocalExecutor). Observation happens at cell granularity so the
 	// parallel schedule is visible in the trace without perturbing it.
 	o := cfg.Obs
 	var bsp *obs.Span
@@ -322,12 +316,7 @@ func buildDataset(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts 
 		}
 	}
 
-	var cells []runCell
-	if exec == nil {
-		cells = runCells(ctx, mods, cfg, labelRuns, opts, done)
-	} else {
-		cells = execCells(ctx, mods, cfg, labelRuns, done, exec)
-	}
+	cells := execCells(ctx, mods, cfg, labelRuns, done, exec)
 
 	var results []*flow.Result
 	sum := &BuildSummary{Modules: len(mods)}
@@ -400,73 +389,6 @@ type runCell struct {
 	traced []backtrace.OpCongestion
 	res    *flow.Result
 	err    error
-}
-
-// errRunSkipped marks a label run never executed because an earlier seed
-// of the same module had already failed. The reduce stops at that earlier
-// failure, so this sentinel never reaches a caller; it only saves flow
-// runs the sequential build would not have made either.
-var errRunSkipped = errors.New("core: label run skipped after an earlier seed failed")
-
-// runCells executes the flattened (module × label-run) grid on a bounded
-// worker pool. Cell k covers module k/labelRuns, run k%labelRuns, and its
-// placement seed depends only on that position — never on scheduling — so
-// every worker count produces the same per-cell outcome. Modules marked
-// done (restored from a checkpoint) are skipped; their cells are never
-// reduced.
-func runCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRuns int, opts BuildOptions, done []bool) []runCell {
-	cells := make([]runCell, len(mods)*labelRuns)
-	// failedAt[mi] is the lowest label-run index of module mi that has
-	// failed so far (labelRuns = none yet). Later runs of a failed module
-	// are skipped best-effort, mirroring the sequential early exit.
-	failedAt := make([]atomic.Int64, len(mods))
-	for i := range failedAt {
-		failedAt[i].Store(int64(labelRuns))
-	}
-	perr := parallel.ForEach(ctx, len(cells), opts.Workers, func(ctx context.Context, k int) {
-		mi, run := k/labelRuns, k%labelRuns
-		if done[mi] {
-			return
-		}
-		if int64(run) > failedAt[mi].Load() {
-			cells[k].err = errRunSkipped
-			return
-		}
-		runCfg := CellConfig(cfg, run)
-		o := cfg.Obs
-		var sp *obs.Span
-		t0 := time.Now()
-		if obs.Tracing(ctx, o) {
-			ctx, sp = obs.StartSpan(ctx, o, "module.run",
-				obs.String("module", mods[mi].Name), obs.Int("label_run", int64(run)))
-		}
-		res, err := flow.RunWithRetry(ctx, mods[mi], runCfg, opts.Retry)
-		sp.SetError(err)
-		sp.End()
-		o.ObserveMs(obs.MetricBuildRunMs, time.Since(t0))
-		if err != nil {
-			for {
-				cur := failedAt[mi].Load()
-				if int64(run) >= cur || failedAt[mi].CompareAndSwap(cur, int64(run)) {
-					break
-				}
-			}
-			cells[k].err = err
-			return
-		}
-		cells[k].res = res
-		cells[k].traced = backtrace.Trace(res)
-	})
-	if perr != nil {
-		// The pool stopped early: cells no task ever touched carry the
-		// cancellation cause so the reduce reports them as aborted runs.
-		for k := range cells {
-			if cells[k].err == nil && cells[k].res == nil {
-				cells[k].err = perr
-			}
-		}
-	}
-	return cells
 }
 
 // reduceModuleCells folds one module's label runs into the seed-averaged

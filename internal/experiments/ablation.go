@@ -195,7 +195,7 @@ func AblateLabelAveraging(cfg Config, runCounts []int) ([]LabelRunsPoint, error)
 	var trM, teM ml.Matrix
 	var out []LabelRunsPoint
 	for _, runs := range runCounts {
-		ds, _, err := core.BuildDatasetRuns(bench.TrainingModules(), cfg.Flow, runs)
+		ds, _, _, err := core.BuildDatasetContext(cfg.ctx(), bench.TrainingModules(), cfg.Flow, core.BuildOptions{LabelRuns: runs})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: label-averaging runs=%d: %w", runs, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func tinyDataset(t *testing.T) *dataset.Dataset {
 	}
 	cfg := quickCfg()
 	cfg.Flow.Place.Moves = 3000
-	ds, _, err := core.BuildDatasetRuns([]*ir.Module{build("ta", 5), build("tb", 8)}, cfg.Flow, 2)
+	ds, _, _, err := core.BuildDatasetContext(context.Background(), []*ir.Module{build("ta", 5), build("tb", 8)}, cfg.Flow, core.BuildOptions{LabelRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

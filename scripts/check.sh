@@ -4,45 +4,69 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== go build =="
+# Scratch files of the steps that have no directory of their own; the
+# EXIT traps below remove it.
+CHECK_TMP="$(mktemp -d)"
+trap 'rm -rf "$CHECK_TMP"' EXIT
+
+# step ends the running step, printing its wall time, and starts the next
+# one; "step" with no name just ends the last.
+CHECK_T0="$(date +%s)"
+STEP_NAME=""
+STEP_T0=0
+step() {
+	if [ -n "$STEP_NAME" ]; then
+		echo "-- $STEP_NAME: $(($(date +%s) - STEP_T0))s"
+	fi
+	STEP_NAME="${1:-}"
+	STEP_T0="$(date +%s)"
+	if [ -n "$STEP_NAME" ]; then
+		echo "== $STEP_NAME =="
+	fi
+}
+
+step "go build"
 go build ./...
 
-echo "== go vet =="
+step "go vet"
 go vet ./...
 
-echo "== go test =="
+step "go test"
 go test ./...
 
-echo "== go test -race =="
+step "go test -race"
 go test -race ./...
 
 # The parallel execution layer's reproduction contract: a concurrent build
-# must be byte-identical to the sequential one, and the parallel hot paths
-# must be clean under the race detector even while being timed.
-echo "== parallel determinism (-race) =="
-go test -race -count=1 -run 'TestBuildDatasetDeterministicAcrossWorkers' ./internal/core/
+# must be byte-identical to the sequential one — through BuildDatasetContext
+# and through BuildDatasetExec with LocalExecutor — with one module.run span
+# per cell and the finished modules kept on cancellation, and the parallel
+# hot paths must be clean under the race detector even while being timed.
+step "parallel determinism (-race)"
+go test -race -count=1 -run 'TestBuildDatasetDeterministicAcrossWorkers|TestBuildDatasetExecLocalEquivalence|TestBuildDatasetObservability|TestBuildDatasetCancelMidBuild' \
+	./internal/core/
 
-echo "== parallel bench smoke (-race) =="
+step "parallel bench smoke (-race)"
 go test -race -run '^$' -bench 'BenchmarkBuildDataset$' -benchtime=1x .
 
 # The fast-path reproduction contract: the incremental placer and the
 # O(1)-pattern router must be byte-identical to the frozen pre-optimization
 # kernels kept under test, and the router's steady state must not allocate.
-echo "== kernel equivalence =="
+step "kernel equivalence"
 go test -count=1 -run 'TestPlaceEquivalentToReference|TestRouteEquivalentToReference|TestRouterReuseAcrossFlows|TestRouteAllSteadyStateAllocs' \
 	./internal/place/ ./internal/route/
 
 # The flow cache's reproduction contract: a second identical dataset build
 # against a warm cache must report hits while producing byte-identical
 # output, including with the cache shared across parallel workers.
-echo "== flow-cache hit-rate smoke (-race) =="
+step "flow-cache hit-rate smoke (-race)"
 go test -race -count=1 -run 'TestBuildDatasetFlowCache' ./internal/core/
 
 # The ML fast-path reproduction contract: the flat-matrix trainers (GBRT
 # with shared binning, ANN, lasso), the pooled metrics/scaler and the CV
 # grid search must be byte-identical to the frozen pre-optimization
 # implementations kept under test — across seeds, under the race detector.
-echo "== ml equivalence (-race) =="
+step "ml equivalence (-race)"
 go test -race -count=1 -run 'Equivalence' \
 	./internal/ml/ ./internal/ml/gbrt/ ./internal/ml/ann/ ./internal/ml/lasso/
 
@@ -50,21 +74,21 @@ go test -race -count=1 -run 'Equivalence' \
 # predictor's (compiled GBRT included). Runs without -race on purpose:
 # the race detector makes sync.Pool drop Puts at random, which makes
 # allocation counts meaningless (the guards skip themselves there).
-echo "== ml zero-alloc guards =="
+step "ml zero-alloc guards"
 go test -count=1 -run 'ZeroAlloc' ./internal/ml/ ./internal/core/
 
 # The serving layer's allocation contract: the whole /predict hot path —
 # admission, pooled decode (both wire formats), coalescing, prediction,
 # response encoding — and the 429 shed path must be allocation-free once
 # warm.
-echo "== serve zero-alloc guards =="
+step "serve zero-alloc guards"
 go test -count=1 -run 'ZeroAlloc' ./internal/serve/
 
 # The striped-metrics contract: a registry fed an operation sequence
 # through striped counters/gauges/histograms must snapshot identically to
 # a plain registry fed the same sequence, and the stripes must be clean
 # and sum correctly under the race detector.
-echo "== striped metrics equivalence (-race) =="
+step "striped metrics equivalence (-race)"
 go test -count=1 -run 'TestStripedSnapshotEquivalence' ./internal/obs/
 go test -race -count=1 -run 'TestStripedConcurrency' ./internal/obs/
 
@@ -72,7 +96,7 @@ go test -race -count=1 -run 'TestStripedConcurrency' ./internal/obs/
 # responses byte-identical to single-shard, all-shards-saturated bursts
 # shed fast with stripe-summed counters, and a reload mid-load never
 # serves two model generations in one batch.
-echo "== sharded serve invariants (-race) =="
+step "sharded serve invariants (-race)"
 go test -race -count=1 \
 	-run 'TestShardedPredictionsMatchSingleShard|TestAllShardsSaturatedSheds|TestReloadSingleGenerationPerBatch|TestShardedGracefulDrain' \
 	./internal/serve/
@@ -84,12 +108,12 @@ go test -race -count=1 \
 # *DoesNotChangeResult tests), the disabled fast path must not allocate,
 # and the shared registry/tracer must be race-clean under the same worker
 # pool the builder uses.
-echo "== observability smoke (quick run + artifact validation) =="
+step "observability smoke (quick run + artifact validation)"
 go run ./cmd/hlscong -quick -workers 2 \
-	-trace /tmp/obs_trace.json -metrics /tmp/obs_metrics.json table1 > /dev/null
-go run ./cmd/obscheck -trace /tmp/obs_trace.json -metrics /tmp/obs_metrics.json
+	-trace "$CHECK_TMP/obs_trace.json" -metrics "$CHECK_TMP/obs_metrics.json" table1 > /dev/null
+go run ./cmd/obscheck -trace "$CHECK_TMP/obs_trace.json" -metrics "$CHECK_TMP/obs_metrics.json"
 
-echo "== obs invariants (zero-alloc, golden trace, -race) =="
+step "obs invariants (zero-alloc, golden trace, -race)"
 go test -count=1 -run 'TestDisabledSpanZeroAlloc|TestChromeTraceGolden' ./internal/obs/
 go test -race -count=1 -run 'TestRegistryConcurrency|TestTracerConcurrency' ./internal/obs/
 go test -race -count=1 -run 'ObserverInert|DoesNotChangeResult' ./internal/core/ ./internal/flow/
@@ -98,7 +122,7 @@ go test -race -count=1 -run 'ObserverInert|DoesNotChangeResult' ./internal/core/
 # and first-sample windows, ring wraparound, Prometheus text rendering,
 # breach-capture rate limiting, and the span-batch codec + Import remap
 # that trace stitching is built on.
-echo "== recorder / prom / breach / stitching unit tests =="
+step "recorder / prom / breach / stitching unit tests"
 go test -count=1 \
 	-run 'TestRecorder|TestBucketQuantile|TestProm|TestBreach|TestTraceContext|TestSpanBatch|TestEncodeSpanBatch|TestDecodeSpanBatch|TestTracerImport|TestChromeTraceLanes' \
 	./internal/obs/
@@ -109,14 +133,14 @@ go test -count=1 \
 # the same store directory. The rerun must complete, draw on the store
 # (nonzero store.hit), produce an artifact byte-identical to a never-killed
 # build, and leave a store with zero quarantined entries.
-echo "== crash recovery (kill -9 mid-build, resume, byte-identical) =="
-go build -o /tmp/storecheck ./cmd/storecheck
+step "crash recovery (kill -9 mid-build, resume, byte-identical)"
+go build -o "$CHECK_TMP/storecheck" ./cmd/storecheck
 CRASH_TMP="$(mktemp -d)"
-trap 'rm -rf "$CRASH_TMP" /tmp/storecheck' EXIT
-/tmp/storecheck -dir "$CRASH_TMP/ref" -build -modules digit_recognition \
+trap 'rm -rf "$CRASH_TMP" "$CHECK_TMP"' EXIT
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/ref" -build -modules digit_recognition \
 	-label-runs 2 -moves 3000 -out "$CRASH_TMP/ref.art" > /dev/null
 set +e
-/tmp/storecheck -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
 	-label-runs 2 -moves 3000 -crash-after-puts 2 > /dev/null 2>&1
 crash_rc=$?
 set -e
@@ -124,7 +148,7 @@ if [ "$crash_rc" -eq 0 ]; then
 	echo "FAIL: crash run exited cleanly instead of dying mid-build"
 	exit 1
 fi
-/tmp/storecheck -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
 	-label-runs 2 -moves 3000 -out "$CRASH_TMP/resumed.art" |
 	tee "$CRASH_TMP/resume.txt"
 cmp "$CRASH_TMP/ref.art" "$CRASH_TMP/resumed.art" || {
@@ -135,16 +159,16 @@ grep -q 'store: hit=[1-9]' "$CRASH_TMP/resume.txt" || {
 	echo "FAIL: resume never hit the persistent store"
 	exit 1
 }
-/tmp/storecheck -dir "$CRASH_TMP/crash" > /dev/null
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/crash" > /dev/null
 
 # The store's decode path must also survive hostile bytes: a short bounded
 # fuzz run on top of the checked-in seed corpus (which go test replays).
-echo "== store decode fuzz smoke (5s) =="
+step "store decode fuzz smoke (5s)"
 go test -run '^$' -fuzz 'FuzzStoreDecode' -fuzztime 5s ./internal/store/ > /dev/null
 
 # The serving codec faces raw network bytes; its hand-rolled JSON parser
 # gets the same bounded-fuzz treatment.
-echo "== serve codec fuzz smoke (5s) =="
+step "serve codec fuzz smoke (5s)"
 go test -run '^$' -fuzz 'FuzzDecodeJSONRows' -fuzztime 5s ./internal/serve/ > /dev/null
 
 # The serving daemon's contract, end to end over real HTTP: train a quick
@@ -153,10 +177,10 @@ go test -run '^$' -fuzz 'FuzzDecodeJSONRows' -fuzztime 5s ./internal/serve/ > /d
 # -probe), hot-reload it (a valid swap bumps the generation; a corrupt
 # artifact is rejected with the old model still serving), then drain
 # gracefully on SIGTERM with load in flight.
-echo "== congserve smoke (2 shards: serve, probe identity, hot-reload, drain) =="
+step "congserve smoke (2 shards: serve, probe identity, hot-reload, drain)"
 SERVE_TMP="$(mktemp -d)"
 SERVE_PID=""
-trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" /tmp/storecheck; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null || true' EXIT
+trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$CHECK_TMP"; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null || true' EXIT
 go build -o "$SERVE_TMP/congserve" ./cmd/congserve
 go build -o "$SERVE_TMP/congload" ./cmd/congload
 go build -o "$SERVE_TMP/congtop" ./cmd/congtop
@@ -278,12 +302,12 @@ grep -q '"preds": [1-9]' "$SERVE_TMP/drain.json" || {
 # sharing one artifact store, one worker is SIGKILLed mid-cell, the lease
 # expires, the survivor reruns the orphaned cell, and the assembled
 # artifact is byte-identical to a sequential single-process build.
-echo "== fleet build (2 workers, one SIGKILLed, byte-identical) =="
+step "fleet build (2 workers, one SIGKILLed, byte-identical)"
 FLEET_TMP="$(mktemp -d)"
 FLEET_W1=""
 FLEET_W2=""
 FLEET_COORD=""
-trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP" /tmp/storecheck; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
+trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP" "$CHECK_TMP"; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
 go build -o "$FLEET_TMP/hlscong" ./cmd/hlscong
 # The move budget makes each cell take seconds, so the SIGKILL at 1.5s
 # lands mid-cell with the doomed worker's lease still outstanding.
@@ -338,11 +362,11 @@ cmp "$FLEET_TMP/ref.art" "$FLEET_TMP/fleet.art" || {
 # batches shipped back on completions), every worker span inside the
 # build interval, and one flow span per cell. obscheck -stitched asserts
 # all of it.
-echo "== stitched fleet trace (2 workers, one trace, lanes validated) =="
+step "stitched fleet trace (2 workers, one trace, lanes validated)"
 STITCH_COORD=""
 STITCH_W1=""
 STITCH_W2=""
-trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP" /tmp/storecheck; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2" "$STITCH_COORD" "$STITCH_W1" "$STITCH_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
+trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP" "$CHECK_TMP"; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2" "$STITCH_COORD" "$STITCH_W1" "$STITCH_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
 rm -f "$FLEET_TMP/addr.txt"
 "$FLEET_TMP/hlscong" -serve-builds 127.0.0.1:0 -fleet-addr-file "$FLEET_TMP/addr.txt" \
 	-modules digit_recognition -label-runs 4 -moves 3000 \
@@ -374,4 +398,5 @@ STITCH_W2=""
 }
 "$SERVE_TMP/obscheck" -trace "$FLEET_TMP/fleet_trace.json" -stitched -lanes 2
 
-echo "tier-1 checks passed"
+step
+echo "tier-1 checks passed in $(($(date +%s) - CHECK_T0))s"
