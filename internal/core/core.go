@@ -653,27 +653,39 @@ func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	// One flat backing for every op's vector instead of one allocation each.
-	flat := make([]float64, len(ops)*features.NumFeatures)
-	feats := make([][]float64, len(ops))
-	for i, o := range ops {
-		feats[i] = ex.VectorInto(flat[i*features.NumFeatures:(i+1)*features.NumFeatures], o)
+	// Extract and score block by block through one reused block of rows,
+	// so the feature matrix never exists for the whole design at once.
+	n := min(len(ops), predictBlockRows)
+	block := make([]float64, n*features.NumFeatures)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = block[i*features.NumFeatures : (i+1)*features.NumFeatures]
 	}
-	vert := make([]float64, len(ops))
-	horiz := make([]float64, len(ops))
-	avg := make([]float64, len(ops))
-	if err := p.PredictBatchInto(vert, horiz, avg, feats); err != nil {
-		// The extractor emits fixed-width vectors, so a shape error here
-		// means the predictor artifact and the library's feature layout
-		// have drifted apart.
-		return nil, fmt.Errorf("core: predict: %w", err)
-	}
+	var scores [3][predictBlockRows]float64
 	out := make([]OpPrediction, len(ops))
-	for i, o := range ops {
-		out[i] = OpPrediction{Op: o, VertPct: vert[i], HorizPct: horiz[i], AvgPct: avg[i]}
+	for lo := 0; lo < len(ops); lo += n {
+		blk := ops[lo:min(lo+n, len(ops))]
+		for i, o := range blk {
+			ex.VectorInto(rows[i], o)
+		}
+		k := len(blk)
+		if err := p.PredictBatchInto(scores[0][:k], scores[1][:k], scores[2][:k], rows[:k]); err != nil {
+			// The extractor emits fixed-width vectors, so a shape error here
+			// means the predictor artifact and the library's feature layout
+			// have drifted apart.
+			return nil, fmt.Errorf("core: predict: %w", err)
+		}
+		for i, o := range blk {
+			out[lo+i] = OpPrediction{Op: o, VertPct: scores[0][i], HorizPct: scores[1][i], AvgPct: scores[2][i]}
+		}
 	}
 	return out, nil
 }
+
+// predictBlockRows is how many ops PredictModule extracts and scores per
+// block: the compiled forest's batch throughput has levelled off by 256
+// rows (BenchmarkPredictorBatch).
+const predictBlockRows = 256
 
 // Hotspot aggregates predicted congestion per source location — the
 // "congested region in the source code" report the designer acts on.

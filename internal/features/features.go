@@ -90,9 +90,10 @@ func Categories() []Category {
 }
 
 // Extractor computes feature vectors for one implemented design. It caches
-// per-function aggregates so per-op extraction stays cheap, and reuses
-// per-op scratch state (neighborhood buffers, BFS marks) across Vector
-// calls so extraction allocates only the output vector.
+// per-function aggregates and dense per-op and per-node tables, so per-op
+// extraction reads slices instead of maps, and it reuses per-op scratch
+// state (neighborhood buffers, BFS marks, aggregates) across Vector calls
+// so extraction allocates only the output vector.
 //
 // An Extractor is NOT safe for concurrent use: the scratch state makes
 // Vector/VectorInto calls mutually exclusive. The parallel dataset builder
@@ -109,6 +110,12 @@ type Extractor struct {
 	topInfo  *funcInfo
 	emptyFI  *funcInfo
 	nLive    int
+	devRes   [hls.ResourceTypeCount]float64
+
+	// opTab caches Graph.OfOp and Sched.Slots by ir.Op ID; nodeTab holds
+	// each graph node's resources and fan-in/fan-out by graph.Node ID.
+	opTab   []opEntry
+	nodeTab []nodeEntry
 
 	// Scratch reused by context(): one opCtx plus BFS generation marks
 	// indexed by graph-node ID.
@@ -117,8 +124,23 @@ type Extractor struct {
 	gen       int
 }
 
+// opEntry is one op's graph node and schedule slot. The op pointer makes
+// the entry self-checking: an op whose ID has no entry, or whose entry
+// belongs to another op, is looked up in the maps instead.
+type opEntry struct {
+	op   *ir.Op
+	node *graph.Node
+	slot hls.OpSlot
+}
+
+// nodeEntry is one graph node's per-type resources and wire sums.
+type nodeEntry struct {
+	res           [hls.ResourceTypeCount]float64
+	fanIn, fanOut int
+}
+
 type funcInfo struct {
-	res      hls.Resources
+	res      [hls.ResourceTypeCount]float64
 	estClock float64
 	latency  int64
 	memWords float64
@@ -126,6 +148,14 @@ type funcInfo struct {
 	memBits  float64
 	memPrims float64
 	mux      hls.MuxStats
+}
+
+// resByType converts r to a dense float vector in ByType order.
+func resByType(r hls.Resources) (v [hls.ResourceTypeCount]float64) {
+	for t := range v {
+		v[t] = float64(r.ByType(t))
+	}
+	return v
 }
 
 // NewExtractor prepares feature extraction from the HLS artifacts of a
@@ -139,12 +169,14 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 		Graph:    g,
 		Dev:      dev,
 		funcInfo: make(map[*ir.Function]*funcInfo),
+		devRes:   resByType(dev.Totals),
 	}
+	e.buildTables()
 	for _, f := range m.LiveFuncs() {
-		fi := &funcInfo{res: b.FuncBoundResources(f), mux: b.FuncMuxStats(f)}
+		fi := &funcInfo{res: resByType(b.FuncBoundResources(f)), mux: b.FuncMuxStats(f)}
 		worst := 0.0
 		for _, o := range f.Ops {
-			if d := s.Slots[o].FinishDelay; d > worst {
+			if d := e.lookup(o).slot.FinishDelay; d > worst {
 				worst = d
 			}
 		}
@@ -172,13 +204,48 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 	return e
 }
 
-// opCtx caches the per-op intermediates shared by many features. The
-// neighborhood slices live in the Extractor's scratch and are overwritten
-// by the next Vector call; evaluators must not retain them.
+// buildTables fills nodeTab and opTab. The builder numbers ops densely,
+// but a module parsed from text may carry any unique IDs, so opTab stops
+// at a few times the op count and ops past it read through the maps.
+func (e *Extractor) buildTables() {
+	e.nodeTab = make([]nodeEntry, len(e.Graph.Nodes))
+	for _, n := range e.Graph.Nodes {
+		e.nodeTab[n.ID] = nodeEntry{res: resByType(n.Res()), fanIn: n.FanIn(), fanOut: n.FanOut()}
+	}
+	size := 0
+	for o := range e.Graph.OfOp {
+		if o.ID >= size {
+			size = o.ID + 1
+		}
+	}
+	size = min(size, 4*len(e.Graph.OfOp)+64)
+	e.opTab = make([]opEntry, size)
+	for o, n := range e.Graph.OfOp {
+		if o.ID >= 0 && o.ID < size && e.opTab[o.ID].op == nil {
+			e.opTab[o.ID] = opEntry{op: o, node: n, slot: e.Sched.Slots[o]}
+		}
+	}
+}
+
+// lookup returns o's graph node and schedule slot: nil and the zero slot
+// when o is missing from Graph.OfOp or Sched.Slots, as a map miss reads.
+func (e *Extractor) lookup(o *ir.Op) opEntry {
+	if id := uint(o.ID); id < uint(len(e.opTab)) && e.opTab[id].op == o {
+		return e.opTab[id]
+	}
+	return opEntry{op: o, node: e.Graph.OfOp[o], slot: e.Sched.Slots[o]}
+}
+
+// opCtx holds everything the registry reads about one op, computed once
+// per op by context(). It lives in the Extractor's scratch and is
+// overwritten by the next Vector call; evaluators must not retain it.
 type opCtx struct {
 	op   *ir.Op
 	node *graph.Node
+	self *nodeEntry
+	slot hls.OpSlot
 	fi   *funcInfo
+	char hls.OpCharacter
 
 	n1both []*graph.Node // one-hop neighborhood (both directions)
 	n1pred []*graph.Node // one-hop, predecessor side (== distinct preds)
@@ -187,21 +254,119 @@ type opCtx struct {
 	n2succ []*graph.Node // second ring, successor side
 	n2both []*graph.Node // second ring, both directions
 
+	// Aggregates of each neighborhood above.
+	pred1, succ1, both1, pred2, succ2, both2 ringStats
+
 	// Wire-weight aggregates of all edges incident to the two-hop
 	// neighborhood, matching graph.Node.EdgeStatsK(2).
 	edge2Total, edge2Count, edge2Max int
 
-	char hls.OpCharacter
+	// The node's largest direct edge and its share of fan-in and fan-out,
+	// as graph.Node.MaxEdge returns them.
+	maxEdgeWires                  int
+	maxEdgeFracIn, maxEdgeFracOut float64
+
+	dt dtStats
+}
+
+// ringStats aggregates one neighborhood in a single pass: per-type
+// resource sums and maxima (maxima start at 0), the operator-kind
+// histogram indexed by ir.OpKind (its KindPort entry is the port count),
+// and the summed fan-in and fan-out wires. Every sum visits the nodes in
+// neighborhood order.
+type ringStats struct {
+	res, max      [hls.ResourceTypeCount]float64
+	kinds         [ir.KindCount + 1]float64
+	fanIn, fanOut float64
+}
+
+func (r *ringStats) collect(e *Extractor, ring []*graph.Node) {
+	*r = ringStats{}
+	for _, x := range ring {
+		ne := &e.nodeTab[x.ID]
+		for t, v := range ne.res {
+			r.res[t] += v
+			if v > r.max[t] {
+				r.max[t] = v
+			}
+		}
+		if k := uint(x.Kind); k < uint(len(r.kinds)) {
+			r.kinds[k]++
+		}
+		r.fanIn += float64(ne.fanIn)
+		r.fanOut += float64(ne.fanOut)
+	}
+}
+
+// dtStats are the #Resource/ΔTcs aggregates of one op, per resource type:
+// resource/ΔTcs summed (and maximized) over the direct producers and
+// consumers, and summed through the second ring with the ΔTcs of both hops
+// added up.
+type dtStats struct {
+	predSum, predMax, succSum, succMax, pred2Sum, succ2Sum [hls.ResourceTypeCount]float64
+}
+
+// collect walks the op's operand and user edges once, computing each
+// edge's ΔTcs once and applying it to all resource types. Nodes that are
+// missing from the graph or are the op's own (merged) node contribute
+// nothing.
+func (d *dtStats) collect(e *Extractor, c *opCtx) {
+	*d = dtStats{}
+	for _, ed := range c.op.Operands {
+		mid := e.lookup(ed.Def)
+		dt1 := float64(hls.SlotDeltaTcs(mid.slot, c.slot))
+		if mid.node != nil && mid.node != c.node {
+			addRatio(&d.predSum, &d.predMax, &e.nodeTab[mid.node.ID].res, dt1)
+		}
+		for _, ed2 := range ed.Def.Operands {
+			far := e.lookup(ed2.Def)
+			if far.node == nil || far.node == c.node {
+				continue
+			}
+			dt := dt1 + float64(hls.SlotDeltaTcs(far.slot, mid.slot))
+			addRatio(&d.pred2Sum, nil, &e.nodeTab[far.node.ID].res, dt)
+		}
+	}
+	for _, u := range c.op.Users() {
+		mid := e.lookup(u)
+		dt1 := float64(hls.SlotDeltaTcs(c.slot, mid.slot))
+		if mid.node != nil && mid.node != c.node {
+			addRatio(&d.succSum, &d.succMax, &e.nodeTab[mid.node.ID].res, dt1)
+		}
+		for _, u2 := range u.Users() {
+			far := e.lookup(u2)
+			if far.node == nil || far.node == c.node {
+				continue
+			}
+			dt := dt1 + float64(hls.SlotDeltaTcs(mid.slot, far.slot))
+			addRatio(&d.succ2Sum, nil, &e.nodeTab[far.node.ID].res, dt)
+		}
+	}
+}
+
+// addRatio adds res/dt to sum and, when max is non-nil, raises max to it,
+// per resource type.
+func addRatio(sum, max, res *[hls.ResourceTypeCount]float64, dt float64) {
+	for t, r := range res {
+		v := r / dt
+		sum[t] += v
+		if max != nil && v > max[t] {
+			max[t] = v
+		}
+	}
 }
 
 func (e *Extractor) context(op *ir.Op) *opCtx {
-	node := e.Graph.OfOp[op]
+	ent := e.lookup(op)
+	node := ent.node
 	if node == nil {
 		panic(fmt.Sprintf("features: op %s missing from graph", op.Name))
 	}
 	c := &e.opScratch
 	c.op = op
 	c.node = node
+	c.self = &e.nodeTab[node.ID]
+	c.slot = ent.slot
 	c.fi = e.funcInfo[op.Func]
 	c.char = hls.Characterize(op.Kind, op.Bitwidth)
 	if c.fi == nil {
@@ -213,6 +378,14 @@ func (e *Extractor) context(op *ir.Op) *opCtx {
 	// the edge aggregation below.
 	c.n1both, c.n2both = e.walk2(node, graph.DirBoth, c.n1both, c.n2both)
 	c.edge2Total, c.edge2Count, c.edge2Max = e.edgeStats2(c)
+	c.maxEdgeWires, c.maxEdgeFracIn, c.maxEdgeFracOut = node.MaxEdge()
+	c.pred1.collect(e, c.n1pred)
+	c.succ1.collect(e, c.n1succ)
+	c.both1.collect(e, c.n1both)
+	c.pred2.collect(e, c.n2pred)
+	c.succ2.collect(e, c.n2succ)
+	c.both2.collect(e, c.n2both)
+	c.dt.collect(e, c)
 	return c
 }
 
@@ -306,7 +479,8 @@ func (e *Extractor) Vector(op *ir.Op) []float64 {
 // VectorInto computes the feature vector of op into dst, which must have
 // length NumFeatures, and returns dst. It is the allocation-free variant of
 // Vector used by the dataset builder, which extracts thousands of ops per
-// design into one preallocated backing array.
+// design into one preallocated backing array, and by PredictModule, which
+// extracts into one reused block of rows.
 func (e *Extractor) VectorInto(dst []float64, op *ir.Op) []float64 {
 	if len(dst) != len(registry) {
 		panic(fmt.Sprintf("features: VectorInto dst length %d, want %d", len(dst), len(registry)))
@@ -321,127 +495,9 @@ func (e *Extractor) VectorInto(dst []float64, op *ir.Op) []float64 {
 // ---------------------------------------------------------------------------
 // Shared helpers.
 
-func sumRes(nodes []*graph.Node, t int) float64 {
-	s := 0.0
-	for _, n := range nodes {
-		s += float64(n.Res().ByType(t))
-	}
-	return s
-}
-
-func maxRes(nodes []*graph.Node, t int) float64 {
-	m := 0.0
-	for _, n := range nodes {
-		if v := float64(n.Res().ByType(t)); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return a / b
-}
-
-func countPorts(nodes []*graph.Node) float64 {
-	n := 0.0
-	for _, x := range nodes {
-		if x.IsPort() {
-			n++
-		}
-	}
-	return n
-}
-
-func (e *Extractor) devTotal(t int) float64 {
-	return float64(e.Dev.Totals.ByType(t))
-}
-
-func (e *Extractor) funcTotal(c *opCtx, t int) float64 {
-	return float64(c.fi.res.ByType(t))
-}
-
-// dtPred sums resource/ΔTcs over the op's direct producers.
-func (e *Extractor) dtPred(c *opCtx, t int) (sum, max float64) {
-	for _, edge := range c.op.Operands {
-		d := edge.Def
-		dn := e.Graph.OfOp[d]
-		if dn == nil || dn == c.node {
-			continue
-		}
-		dt := float64(e.Sched.DeltaTcs(d, c.op))
-		v := float64(dn.Res().ByType(t)) / dt
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	return sum, max
-}
-
-// dtSucc sums resource/ΔTcs over the op's direct consumers.
-func (e *Extractor) dtSucc(c *opCtx, t int) (sum, max float64) {
-	for _, u := range c.op.Users() {
-		un := e.Graph.OfOp[u]
-		if un == nil || un == c.node {
-			continue
-		}
-		dt := float64(e.Sched.DeltaTcs(c.op, u))
-		v := float64(un.Res().ByType(t)) / dt
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	return sum, max
-}
-
-// dtPred2 extends the term through the second predecessor ring, dividing by
-// the accumulated schedule distance over the two hops.
-func (e *Extractor) dtPred2(c *opCtx, t int) float64 {
-	sum := 0.0
-	for _, edge := range c.op.Operands {
-		mid := edge.Def
-		dt1 := float64(e.Sched.DeltaTcs(mid, c.op))
-		for _, edge2 := range mid.Operands {
-			d2 := edge2.Def
-			dn := e.Graph.OfOp[d2]
-			if dn == nil || dn == c.node {
-				continue
-			}
-			dt2 := float64(e.Sched.DeltaTcs(d2, mid))
-			sum += float64(dn.Res().ByType(t)) / (dt1 + dt2)
-		}
-	}
-	return sum
-}
-
-// dtSucc2 is the successor-side two-hop variant.
-func (e *Extractor) dtSucc2(c *opCtx, t int) float64 {
-	sum := 0.0
-	for _, mid := range c.op.Users() {
-		dt1 := float64(e.Sched.DeltaTcs(c.op, mid))
-		for _, u2 := range mid.Users() {
-			un := e.Graph.OfOp[u2]
-			if un == nil || un == c.node {
-				continue
-			}
-			dt2 := float64(e.Sched.DeltaTcs(mid, u2))
-			sum += float64(un.Res().ByType(t)) / (dt1 + dt2)
-		}
-	}
-	return sum
-}
-
-func countKind(nodes []*graph.Node, k ir.OpKind) float64 {
-	n := 0.0
-	for _, x := range nodes {
-		if x.Kind == k {
-			n++
-		}
-	}
-	return n
 }

@@ -358,3 +358,35 @@ func benchExtractor(b *testing.B) (*Extractor, *ir.Module, map[string]*ir.Op) {
 	ex := NewExtractor(m, s, bind, g, fpga.XC7Z020())
 	return ex, m, map[string]*ir.Op{"p": p, "mul": mul, "ld": ld, "add": add}
 }
+
+// TestVectorIgnoresOpIDLayout: the extractor's per-op table is indexed by
+// op ID, but IDs only have to be unique, not dense — a module parsed from
+// text can carry huge, negative or (before validation) repeated IDs. Every
+// vector must come out the same whatever the IDs are.
+func TestVectorIgnoresOpIDLayout(t *testing.T) {
+	ex, m, _ := extractorFor(t)
+	ops := m.AllOps()
+	want := make([][]float64, len(ops))
+	for i, op := range ops {
+		want[i] = ex.Vector(op)
+	}
+	for i, op := range ops {
+		switch i % 3 {
+		case 0:
+			op.ID = 1<<40 + i
+		case 1:
+			op.ID = -1 - i
+		case 2:
+			op.ID = 0
+		}
+	}
+	sparse := NewExtractor(m, ex.Sched, ex.Bind, ex.Graph, ex.Dev)
+	for i, op := range ops {
+		got := sparse.Vector(op)
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("op %s feature %q: %v with remapped IDs, %v before", op.Name, Names()[j], got[j], want[i][j])
+			}
+		}
+	}
+}

@@ -33,69 +33,38 @@ func registerInterconnect() {
 	reg := func(name string, f func(*Extractor, *opCtx) float64) {
 		register("ic_"+name, CatInterconnect, f)
 	}
-	reg("fanin", func(e *Extractor, c *opCtx) float64 { return float64(c.node.FanIn()) })
-	reg("fanout", func(e *Extractor, c *opCtx) float64 { return float64(c.node.FanOut()) })
+	reg("fanin", func(e *Extractor, c *opCtx) float64 { return float64(c.self.fanIn) })
+	reg("fanout", func(e *Extractor, c *opCtx) float64 { return float64(c.self.fanOut) })
 	reg("fan_sum", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.node.FanIn() + c.node.FanOut())
+		return float64(c.self.fanIn + c.self.fanOut)
 	})
 	reg("num_preds", func(e *Extractor, c *opCtx) float64 { return float64(len(c.node.In)) })
 	reg("num_succs", func(e *Extractor, c *opCtx) float64 { return float64(len(c.node.Out)) })
 	reg("num_neighbors", func(e *Extractor, c *opCtx) float64 {
 		return float64(len(c.node.In) + len(c.node.Out))
 	})
-	reg("max_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		w, _, _ := c.node.MaxEdge()
-		return float64(w)
-	})
-	reg("max_edge_frac_fanin", func(e *Extractor, c *opCtx) float64 {
-		_, fi, _ := c.node.MaxEdge()
-		return fi
-	})
-	reg("max_edge_frac_fanout", func(e *Extractor, c *opCtx) float64 {
-		_, _, fo := c.node.MaxEdge()
-		return fo
-	})
+	reg("max_edge_wires", func(e *Extractor, c *opCtx) float64 { return float64(c.maxEdgeWires) })
+	reg("max_edge_frac_fanin", func(e *Extractor, c *opCtx) float64 { return c.maxEdgeFracIn })
+	reg("max_edge_frac_fanout", func(e *Extractor, c *opCtx) float64 { return c.maxEdgeFracOut })
 	reg("avg_in_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		return safeDiv(float64(c.node.FanIn()), float64(len(c.node.In)))
+		return safeDiv(float64(c.self.fanIn), float64(len(c.node.In)))
 	})
 	reg("avg_out_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		return safeDiv(float64(c.node.FanOut()), float64(len(c.node.Out)))
+		return safeDiv(float64(c.self.fanOut), float64(len(c.node.Out)))
 	})
-	reg("port_neighbors_1hop", func(e *Extractor, c *opCtx) float64 {
-		return countPorts(c.n1both)
-	})
+	reg("port_neighbors_1hop", func(e *Extractor, c *opCtx) float64 { return c.both1.kinds[ir.KindPort] })
 	reg("num_preds_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2pred)) })
 	reg("num_succs_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2succ)) })
 	reg("num_neighbors_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2both)) })
-	reg("edge_total_2hop", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.edge2Total)
-	})
-	reg("edge_count_2hop", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.edge2Count)
-	})
-	reg("edge_max_2hop", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.edge2Max)
-	})
+	reg("edge_total_2hop", func(e *Extractor, c *opCtx) float64 { return float64(c.edge2Total) })
+	reg("edge_count_2hop", func(e *Extractor, c *opCtx) float64 { return float64(c.edge2Count) })
+	reg("edge_max_2hop", func(e *Extractor, c *opCtx) float64 { return float64(c.edge2Max) })
 	reg("edge_max_frac_2hop", func(e *Extractor, c *opCtx) float64 {
 		return safeDiv(float64(c.edge2Max), float64(c.edge2Total))
 	})
-	reg("fanin_2hop", func(e *Extractor, c *opCtx) float64 {
-		s := 0.0
-		for _, n := range c.n2pred {
-			s += float64(n.FanIn())
-		}
-		return s
-	})
-	reg("fanout_2hop", func(e *Extractor, c *opCtx) float64 {
-		s := 0.0
-		for _, n := range c.n2succ {
-			s += float64(n.FanOut())
-		}
-		return s
-	})
-	reg("port_neighbors_2hop", func(e *Extractor, c *opCtx) float64 {
-		return countPorts(c.n2both)
-	})
+	reg("fanin_2hop", func(e *Extractor, c *opCtx) float64 { return c.pred2.fanIn })
+	reg("fanout_2hop", func(e *Extractor, c *opCtx) float64 { return c.succ2.fanOut })
+	reg("port_neighbors_2hop", func(e *Extractor, c *opCtx) float64 { return c.both2.kinds[ir.KindPort] })
 }
 
 func registerResource() {
@@ -105,77 +74,61 @@ func registerResource() {
 		reg := func(name string, f func(*Extractor, *opCtx) float64) {
 			register(fmt.Sprintf("res_%s_%s", tn, name), CatResource, f)
 		}
-		reg("usage", func(e *Extractor, c *opCtx) float64 {
-			return float64(c.node.Res().ByType(t))
-		})
+		reg("usage", func(e *Extractor, c *opCtx) float64 { return c.self.res[t] })
 		reg("util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(float64(c.node.Res().ByType(t)), e.devTotal(t))
+			return safeDiv(c.self.res[t], e.devRes[t])
 		})
 		reg("util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(float64(c.node.Res().ByType(t)), e.funcTotal(c, t))
+			return safeDiv(c.self.res[t], c.fi.res[t])
 		})
-		reg("pred_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n1pred, t)
-		})
-		reg("succ_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n1succ, t)
-		})
+		reg("pred_total", func(e *Extractor, c *opCtx) float64 { return c.pred1.res[t] })
+		reg("succ_total", func(e *Extractor, c *opCtx) float64 { return c.succ1.res[t] })
 		reg("predsucc_sum", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n1pred, t) + sumRes(c.n1succ, t)
+			return c.pred1.res[t] + c.succ1.res[t]
 		})
 		reg("pred_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1pred, t), e.devTotal(t))
+			return safeDiv(c.pred1.res[t], e.devRes[t])
 		})
 		reg("succ_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1succ, t), e.devTotal(t))
+			return safeDiv(c.succ1.res[t], e.devRes[t])
 		})
 		reg("pred_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1pred, t), e.funcTotal(c, t))
+			return safeDiv(c.pred1.res[t], c.fi.res[t])
 		})
 		reg("succ_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1succ, t), e.funcTotal(c, t))
+			return safeDiv(c.succ1.res[t], c.fi.res[t])
 		})
-		reg("max_nbr", func(e *Extractor, c *opCtx) float64 {
-			return maxRes(c.n1both, t)
-		})
+		reg("max_nbr", func(e *Extractor, c *opCtx) float64 { return c.both1.max[t] })
 		reg("max_nbr_frac", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(maxRes(c.n1both, t), sumRes(c.n1both, t))
+			return safeDiv(c.both1.max[t], c.both1.res[t])
 		})
-		reg("pred2_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2pred, t)
-		})
-		reg("succ2_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2succ, t)
-		})
+		reg("pred2_total", func(e *Extractor, c *opCtx) float64 { return c.pred2.res[t] })
+		reg("succ2_total", func(e *Extractor, c *opCtx) float64 { return c.succ2.res[t] })
 		reg("sum2", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2pred, t) + sumRes(c.n2succ, t)
+			return c.pred2.res[t] + c.succ2.res[t]
 		})
 		reg("pred2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2pred, t), e.devTotal(t))
+			return safeDiv(c.pred2.res[t], e.devRes[t])
 		})
 		reg("succ2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2succ, t), e.devTotal(t))
+			return safeDiv(c.succ2.res[t], e.devRes[t])
 		})
 		reg("pred2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2pred, t), e.funcTotal(c, t))
+			return safeDiv(c.pred2.res[t], c.fi.res[t])
 		})
 		reg("succ2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2succ, t), e.funcTotal(c, t))
+			return safeDiv(c.succ2.res[t], c.fi.res[t])
 		})
-		reg("max_nbr2", func(e *Extractor, c *opCtx) float64 {
-			return maxRes(c.n2both, t)
-		})
+		reg("max_nbr2", func(e *Extractor, c *opCtx) float64 { return c.both2.max[t] })
 		reg("max_nbr2_frac", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(maxRes(c.n2both, t), sumRes(c.n2both, t))
+			return safeDiv(c.both2.max[t], c.both2.res[t])
 		})
-		reg("both2_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2both, t)
-		})
+		reg("both2_total", func(e *Extractor, c *opCtx) float64 { return c.both2.res[t] })
 		reg("both2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2both, t), e.devTotal(t))
+			return safeDiv(c.both2.res[t], e.devRes[t])
 		})
 		reg("both2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2both, t), e.funcTotal(c, t))
+			return safeDiv(c.both2.res[t], c.fi.res[t])
 		})
 	}
 }
@@ -188,10 +141,10 @@ func registerTiming() {
 		return float64(c.char.Latency)
 	})
 	register("timing_start_state", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return float64(e.Sched.Slots[c.op].Start)
+		return float64(c.slot.Start)
 	})
 	register("timing_finish_delay_ns", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return e.Sched.Slots[c.op].FinishDelay
+		return c.slot.FinishDelay
 	})
 }
 
@@ -202,49 +155,25 @@ func registerResourceDT() {
 		reg := func(name string, f func(*Extractor, *opCtx) float64) {
 			register(fmt.Sprintf("dt_%s_%s", tn, name), CatResourceDT, f)
 		}
-		reg("pred_sum", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtPred(c, t)
-			return s
-		})
-		reg("succ_sum", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtSucc(c, t)
-			return s
-		})
-		reg("sum", func(e *Extractor, c *opCtx) float64 {
-			p, _ := e.dtPred(c, t)
-			s, _ := e.dtSucc(c, t)
-			return p + s
-		})
-		reg("pred_max", func(e *Extractor, c *opCtx) float64 {
-			_, m := e.dtPred(c, t)
-			return m
-		})
-		reg("succ_max", func(e *Extractor, c *opCtx) float64 {
-			_, m := e.dtSucc(c, t)
-			return m
-		})
+		reg("pred_sum", func(e *Extractor, c *opCtx) float64 { return c.dt.predSum[t] })
+		reg("succ_sum", func(e *Extractor, c *opCtx) float64 { return c.dt.succSum[t] })
+		reg("sum", func(e *Extractor, c *opCtx) float64 { return c.dt.predSum[t] + c.dt.succSum[t] })
+		reg("pred_max", func(e *Extractor, c *opCtx) float64 { return c.dt.predMax[t] })
+		reg("succ_max", func(e *Extractor, c *opCtx) float64 { return c.dt.succMax[t] })
 		reg("pred_util_func", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtPred(c, t)
-			return safeDiv(s, e.funcTotal(c, t))
+			return safeDiv(c.dt.predSum[t], c.fi.res[t])
 		})
 		reg("succ_util_func", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtSucc(c, t)
-			return safeDiv(s, e.funcTotal(c, t))
+			return safeDiv(c.dt.succSum[t], c.fi.res[t])
 		})
-		reg("pred2_sum", func(e *Extractor, c *opCtx) float64 {
-			return e.dtPred2(c, t)
-		})
-		reg("succ2_sum", func(e *Extractor, c *opCtx) float64 {
-			return e.dtSucc2(c, t)
-		})
-		reg("sum2", func(e *Extractor, c *opCtx) float64 {
-			return e.dtPred2(c, t) + e.dtSucc2(c, t)
-		})
+		reg("pred2_sum", func(e *Extractor, c *opCtx) float64 { return c.dt.pred2Sum[t] })
+		reg("succ2_sum", func(e *Extractor, c *opCtx) float64 { return c.dt.succ2Sum[t] })
+		reg("sum2", func(e *Extractor, c *opCtx) float64 { return c.dt.pred2Sum[t] + c.dt.succ2Sum[t] })
 		reg("pred2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(e.dtPred2(c, t), e.funcTotal(c, t))
+			return safeDiv(c.dt.pred2Sum[t], c.fi.res[t])
 		})
 		reg("succ2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(e.dtSucc2(c, t), e.funcTotal(c, t))
+			return safeDiv(c.dt.succ2Sum[t], c.fi.res[t])
 		})
 	}
 }
@@ -262,13 +191,13 @@ func registerOpType() {
 	for _, k := range ir.AllKinds() {
 		k := k
 		register(fmt.Sprintf("type_nbr1_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			return countKind(c.n1both, k)
+			return c.both1.kinds[k]
 		})
 	}
 	for _, k := range ir.AllKinds() {
 		k := k
 		register(fmt.Sprintf("type_nbr2_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			return countKind(c.n2both, k)
+			return c.both2.kinds[k]
 		})
 	}
 }
@@ -280,19 +209,19 @@ func registerGlobal() {
 	for t := 0; t < hls.ResourceTypeCount; t++ {
 		t := t
 		reg("top_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
-			return float64(e.topInfo.res.ByType(t))
+			return e.topInfo.res[t]
 		})
 	}
 	for t := 0; t < hls.ResourceTypeCount; t++ {
 		t := t
 		reg("fop_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
-			return float64(c.fi.res.ByType(t))
+			return c.fi.res[t]
 		})
 	}
 	for t := 0; t < hls.ResourceTypeCount; t++ {
 		t := t
 		reg("fop_frac_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(float64(c.fi.res.ByType(t)), float64(e.topInfo.res.ByType(t)))
+			return safeDiv(c.fi.res[t], e.topInfo.res[t])
 		})
 	}
 	reg("target_period_ns", func(e *Extractor, c *opCtx) float64 { return e.Sched.Clock.PeriodNS })

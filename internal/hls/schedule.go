@@ -51,7 +51,13 @@ func (s *Schedule) Slot(o *ir.Op) OpSlot { return s.Slots[o] }
 // finite. Operations chained in the same state have the tightest possible
 // spatial constraint, ΔTcs = 1.
 func (s *Schedule) DeltaTcs(producer, consumer *ir.Op) int {
-	d := s.Slots[consumer].Start - s.Slots[producer].End
+	return SlotDeltaTcs(s.Slots[producer], s.Slots[consumer])
+}
+
+// SlotDeltaTcs is DeltaTcs on the producer's and consumer's slots, for
+// callers that keep the slots in a table of their own.
+func SlotDeltaTcs(producer, consumer OpSlot) int {
+	d := consumer.Start - producer.End
 	if d < 1 {
 		return 1
 	}

@@ -77,6 +77,17 @@ go test -race -count=1 -run 'Equivalence' \
 step "ml zero-alloc guards"
 go test -count=1 -run 'ZeroAlloc' ./internal/ml/ ./internal/core/
 
+# The feature extractor's reproduction contract: every feature of every op
+# of the benchmark designs matches the golden digest, the scratch BFS
+# matches the graph package's reference queries, extraction allocates
+# nothing once warm (toy design and Face Detection), and PredictModule's
+# block streaming scores every op exactly as PredictSample does.
+step "feature extraction identity + zero-alloc"
+go test -count=1 \
+	-run 'TestGoldenFeatureDigest|TestScratchNeighborhoodsMatchGraphQueries|TestVectorIntoAllocationFree' \
+	./internal/features/
+go test -count=1 -run 'TestPredictModuleBlockBoundaries|TestPredictModuleEmptyModule' ./internal/core/
+
 # The serving layer's allocation contract: the whole /predict hot path —
 # admission, pooled decode (both wire formats), coalescing, prediction,
 # response encoding — and the 429 shed path must be allocation-free once
