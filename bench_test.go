@@ -410,24 +410,3 @@ func BenchmarkFullFlowFaceDetection(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPredictionOnly measures the HLS-side prediction path (schedule,
-// bind, features, model inference) — what replaces the full flow at design
-// time.
-func BenchmarkPredictionOnly(b *testing.B) {
-	ds, _, err := BuildTrainingDataset(DefaultFlowConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred, err := TrainPredictor(ds, TrainOptions{Kind: GBRT, Filter: true, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := FaceDetection(NotInline())
-		if _, err := pred.PredictModule(m, DefaultFlowConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -641,6 +641,12 @@ type OpPrediction struct {
 // placement, no routing. This is the prediction phase of Fig. 2: the whole
 // point of the paper is that this call replaces hours of RTL
 // implementation.
+//
+// Each distinct feature row is scored once, in batches of up to
+// predictBlockRows rows. Unrolled-loop replicas extract to bit-identical
+// rows, and the predictor scores a row as a pure function of its bits, so
+// an op whose row repeats an earlier op's takes that op's scores: the
+// output is bit-identical to scoring every op.
 func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction, error) {
 	sched, err := hls.ScheduleModule(m, cfg.Clock)
 	if err != nil {
@@ -653,38 +659,40 @@ func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	// Extract and score block by block through one reused block of rows,
-	// so the feature matrix never exists for the whole design at once.
-	n := min(len(ops), predictBlockRows)
-	block := make([]float64, n*features.NumFeatures)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = block[i*features.NumFeatures : (i+1)*features.NumFeatures]
+	set := newRowSet(features.NumFeatures, len(ops))
+	row := make([]float64, features.NumFeatures)
+	idx := make([]int32, len(ops))
+	for i, o := range ops {
+		ex.VectorInto(row, o)
+		idx[i] = int32(set.add(row, hashRow(row)))
 	}
-	var scores [3][predictBlockRows]float64
-	out := make([]OpPrediction, len(ops))
-	for lo := 0; lo < len(ops); lo += n {
-		blk := ops[lo:min(lo+n, len(ops))]
-		for i, o := range blk {
-			ex.VectorInto(rows[i], o)
+	n := set.len()
+	sc := make([]float64, 3*n)
+	vert, horiz, avg := sc[:n], sc[n:2*n], sc[2*n:]
+	var views [predictBlockRows][]float64
+	for lo := 0; lo < n; lo += predictBlockRows {
+		hi := min(lo+predictBlockRows, n)
+		for j := lo; j < hi; j++ {
+			views[j-lo] = set.row(j)
 		}
-		k := len(blk)
-		if err := p.PredictBatchInto(scores[0][:k], scores[1][:k], scores[2][:k], rows[:k]); err != nil {
+		if err := p.PredictBatchInto(vert[lo:hi], horiz[lo:hi], avg[lo:hi], views[:hi-lo]); err != nil {
 			// The extractor emits fixed-width vectors, so a shape error here
 			// means the predictor artifact and the library's feature layout
 			// have drifted apart.
 			return nil, fmt.Errorf("core: predict: %w", err)
 		}
-		for i, o := range blk {
-			out[lo+i] = OpPrediction{Op: o, VertPct: scores[0][i], HorizPct: scores[1][i], AvgPct: scores[2][i]}
-		}
+	}
+	out := make([]OpPrediction, len(ops))
+	for i, o := range ops {
+		k := idx[i]
+		out[i] = OpPrediction{Op: o, VertPct: vert[k], HorizPct: horiz[k], AvgPct: avg[k]}
 	}
 	return out, nil
 }
 
-// predictBlockRows is how many ops PredictModule extracts and scores per
-// block: the compiled forest's batch throughput has levelled off by 256
-// rows (BenchmarkPredictorBatch).
+// predictBlockRows is how many distinct rows PredictModule scores per
+// PredictBatchInto call: the compiled forest's batch throughput has
+// levelled off by 256 rows (BenchmarkPredictorBatch).
 const predictBlockRows = 256
 
 // Hotspot aggregates predicted congestion per source location — the

@@ -147,6 +147,9 @@ func ParseText(r io.Reader) (*Module, error) {
 			if m == nil {
 				return nil, fmt.Errorf("ir: line %d: func before module", lineNo)
 			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("ir: line %d: func without a name", lineNo)
+			}
 			f = m.NewFunction(fields[1])
 			for _, tok := range fields[2:] {
 				switch {
@@ -163,6 +166,9 @@ func ParseText(r io.Reader) (*Module, error) {
 		case fields[0] == "array":
 			if f == nil {
 				return nil, fmt.Errorf("ir: line %d: array outside func", lineNo)
+			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("ir: line %d: array without a name", lineNo)
 			}
 			a := &Array{Name: fields[1], Func: f}
 			for _, kv := range fields[2:] {
@@ -187,6 +193,9 @@ func ParseText(r io.Reader) (*Module, error) {
 		case fields[0] == "loop":
 			if f == nil {
 				return nil, fmt.Errorf("ir: line %d: loop outside func", lineNo)
+			}
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("ir: line %d: loop without an ID and a name", lineNo)
 			}
 			id, err := strconv.Atoi(fields[1])
 			if err != nil {
@@ -286,7 +295,10 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 	o.Name = defaultOpName(kind, id)
 	rest := fields[3:]
 	if len(rest) > 0 && strings.HasPrefix(rest[0], "\"") {
-		o.Name = strings.Trim(rest[0], "\"")
+		// WriteText quotes names with %q; anything else is not a name.
+		if o.Name, err = strconv.Unquote(rest[0]); err != nil {
+			return nil, fmt.Errorf("bad op name %s", rest[0])
+		}
 		rest = rest[1:]
 	}
 	if len(rest) == 0 || !strings.HasPrefix(rest[0], "i") {

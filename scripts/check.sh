@@ -81,12 +81,14 @@ go test -count=1 -run 'ZeroAlloc' ./internal/ml/ ./internal/core/
 # of the benchmark designs matches the golden digest, the scratch BFS
 # matches the graph package's reference queries, extraction allocates
 # nothing once warm (toy design and Face Detection), and PredictModule's
-# block streaming scores every op exactly as PredictSample does.
+# distinct-row scoring scores every op exactly as PredictSample does: its
+# row table keys on bits (−0/+0 and NaN payloads stay apart), survives
+# long probe chains, and adds rows without allocating.
 step "feature extraction identity + zero-alloc"
 go test -count=1 \
 	-run 'TestGoldenFeatureDigest|TestScratchNeighborhoodsMatchGraphQueries|TestVectorIntoAllocationFree' \
 	./internal/features/
-go test -count=1 -run 'TestPredictModuleBlockBoundaries|TestPredictModuleEmptyModule' ./internal/core/
+go test -count=1 -run 'TestPredictModuleBlockBoundaries|TestPredictModuleEmptyModule|TestRowSet' ./internal/core/
 
 # The serving layer's allocation contract: the whole /predict hot path —
 # admission, pooled decode (both wire formats), coalescing, prediction,
@@ -181,6 +183,18 @@ go test -run '^$' -fuzz 'FuzzStoreDecode' -fuzztime 5s ./internal/store/ > /dev/
 # gets the same bounded-fuzz treatment.
 step "serve codec fuzz smoke (5s)"
 go test -run '^$' -fuzz 'FuzzDecodeJSONRows' -fuzztime 5s ./internal/serve/ > /dev/null
+
+# The fleet's wire decoders read bytes off the network too: the build spec
+# a worker fetches, the IR text inside it, and the span batches workers
+# ship back to the coordinator.
+step "fleet spec fuzz smoke (5s)"
+go test -run '^$' -fuzz 'FuzzDecodeSpec' -fuzztime 5s ./internal/fleet/ > /dev/null
+
+step "IR text fuzz smoke (5s)"
+go test -run '^$' -fuzz 'FuzzParseText' -fuzztime 5s ./internal/ir/ > /dev/null
+
+step "span batch fuzz smoke (5s)"
+go test -run '^$' -fuzz 'FuzzDecodeSpanBatch' -fuzztime 5s ./internal/obs/ > /dev/null
 
 # The serving daemon's contract, end to end over real HTTP: train a quick
 # artifact, serve it multi-shard, predict against it, prove the sharded
