@@ -54,14 +54,14 @@ func Trace(res *flow.Result) []OpCongestion {
 	}
 	// Step 3 (HLS info): operations whose results never leave their cell
 	// have no provenance net; fall back to the binder's op->cell map.
-	covered := make(map[*ir.Op]bool)
+	covered := make([]bool, res.Mod.IndexBound())
 	for _, ops := range opOfCell {
 		for _, o := range ops {
-			covered[o] = true
+			covered[o.Index()] = true
 		}
 	}
 	for o, c := range res.Netlist.CellOf {
-		if !covered[o] {
+		if !covered[o.Index()] {
 			opOfCell[c] = append(opOfCell[c], o)
 		}
 	}

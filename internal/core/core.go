@@ -655,7 +655,7 @@ func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction
 	bind := hls.BindModule(sched)
 	g := graph.Build(m, bind)
 	ex := features.NewExtractor(m, sched, bind, g, cfg.Dev)
-	ops := m.AllOps()
+	ops := sched.Ops
 	if len(ops) == 0 {
 		return nil, nil
 	}

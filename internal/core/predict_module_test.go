@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,6 +126,70 @@ func TestPredictModuleBlockBoundaries(t *testing.T) {
 			// A misaligned block would go unnoticed if every op scored alike.
 			if len(distinct) < 10 {
 				t.Fatalf("%s/%s: only %d distinct vertical scores over %d ops", m.Name, kind, len(distinct), len(ops))
+			}
+		}
+	}
+}
+
+// TestPredictModuleSparseTextIDs: text IR may number ops with any unique
+// IDs, and the front half's tables are keyed by the dense op index, not
+// the ID. digit_spam, written as text with every op ID moved in order to
+// a sparse, huge or negative value (the first to MinInt64, the last to
+// MaxInt64) and parsed back, must predict exactly what the builder-made
+// module predicts, op for op and bit for bit.
+func TestPredictModuleSparseTextIDs(t *testing.T) {
+	cfg := flow.DefaultConfig()
+	m := bench.DigitSpam()
+	ops := m.AllOps()
+	newID := make(map[string]string, len(ops))
+	mid := ops[len(ops)/2].ID
+	for _, o := range ops {
+		newID[strconv.Itoa(o.ID)] = strconv.Itoa((o.ID - mid) << 40)
+	}
+	newID[strconv.Itoa(ops[0].ID)] = strconv.Itoa(math.MinInt64)
+	newID[strconv.Itoa(ops[len(ops)-1].ID)] = strconv.Itoa(math.MaxInt64)
+	var buf bytes.Buffer
+	if err := ir.WriteText(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	// Op headers and operand references are %ID; replica marks keep the
+	// original's old ID, which only says the op is a replica.
+	text := regexp.MustCompile(`%-?\d+`).ReplaceAllStringFunc(buf.String(), func(ref string) string {
+		return "%" + newID[ref[1:]]
+	})
+	sparse, err := ir.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparseOps := sparse.AllOps()
+	if len(sparseOps) != len(ops) || sparseOps[0].ID != math.MinInt64 || sparseOps[len(ops)-1].ID != math.MaxInt64 {
+		t.Fatalf("rewritten module: %d ops, IDs %d..%d", len(sparseOps), sparseOps[0].ID, sparseOps[len(sparseOps)-1].ID)
+	}
+	ds := designDataset(t, m, cfg)
+	for _, kind := range []ModelKind{GBRT, Linear} {
+		p, err := Train(ds, TrainOptions{Kind: kind, Seed: 1, Size: SizeQuick})
+		if err != nil {
+			t.Fatalf("%s: train: %v", kind, err)
+		}
+		want, err := p.PredictModule(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.PredictModule(sparse, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d predictions, want %d", kind, len(got), len(want))
+		}
+		for i, pr := range got {
+			w := want[i]
+			if strconv.Itoa(pr.Op.ID) != newID[strconv.Itoa(w.Op.ID)] ||
+				math.Float64bits(pr.VertPct) != math.Float64bits(w.VertPct) ||
+				math.Float64bits(pr.HorizPct) != math.Float64bits(w.HorizPct) ||
+				math.Float64bits(pr.AvgPct) != math.Float64bits(w.AvgPct) {
+				t.Fatalf("%s: op %d (ID %d, was %d): (%v,%v,%v), builder module (%v,%v,%v)",
+					kind, i, pr.Op.ID, w.Op.ID, pr.VertPct, pr.HorizPct, pr.AvgPct, w.VertPct, w.HorizPct, w.AvgPct)
 			}
 		}
 	}

@@ -122,3 +122,24 @@ func BenchmarkExtractDesigns(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
+
+// BenchmarkFrontHalfDesigns times the HLS front half PredictModule runs
+// before the forest — schedule, bind, graph.Build and NewExtractor — over
+// the six-design prediction mix, one iteration per mix. Feature rows are
+// not extracted (BenchmarkExtractDesigns covers VectorInto).
+func BenchmarkFrontHalfDesigns(b *testing.B) {
+	mods := designMix()
+	dev := fpga.XC7Z020()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range mods {
+			s, err := hls.ScheduleModule(m, hls.DefaultClock())
+			if err != nil {
+				b.Fatal(err)
+			}
+			bd := hls.BindModule(s)
+			features.NewExtractor(m, s, bd, graph.Build(m, bd), dev)
+		}
+	}
+}

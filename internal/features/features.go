@@ -90,8 +90,9 @@ func Categories() []Category {
 }
 
 // Extractor computes feature vectors for one implemented design. It caches
-// per-function aggregates and dense per-op and per-node tables, so per-op
-// extraction reads slices instead of maps, and it reuses per-op scratch
+// per-function aggregates and a dense per-node table, and reads each op's
+// node and slot from the graph's and schedule's tables by op index, so
+// per-op extraction reads slices instead of maps, and it reuses per-op scratch
 // state (neighborhood buffers, BFS marks, aggregates) across Vector calls
 // so extraction allocates only the output vector.
 //
@@ -112,9 +113,8 @@ type Extractor struct {
 	nLive    int
 	devRes   [hls.ResourceTypeCount]float64
 
-	// opTab caches Graph.OfOp and Sched.Slots by ir.Op ID; nodeTab holds
-	// each graph node's resources and fan-in/fan-out by graph.Node ID.
-	opTab   []opEntry
+	// nodeTab holds each graph node's resources and fan-in/fan-out by
+	// graph.Node ID.
 	nodeTab []nodeEntry
 
 	// Scratch reused by context(): one opCtx plus BFS generation marks
@@ -122,15 +122,6 @@ type Extractor struct {
 	opScratch opCtx
 	seen      []int
 	gen       int
-}
-
-// opEntry is one op's graph node and schedule slot. The op pointer makes
-// the entry self-checking: an op whose ID has no entry, or whose entry
-// belongs to another op, is looked up in the maps instead.
-type opEntry struct {
-	op   *ir.Op
-	node *graph.Node
-	slot hls.OpSlot
 }
 
 // nodeEntry is one graph node's per-type resources and wire sums.
@@ -171,12 +162,16 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 		funcInfo: make(map[*ir.Function]*funcInfo),
 		devRes:   resByType(dev.Totals),
 	}
-	e.buildTables()
-	for _, f := range m.LiveFuncs() {
+	e.nodeTab = make([]nodeEntry, len(g.Nodes))
+	for _, n := range g.Nodes {
+		e.nodeTab[n.ID] = nodeEntry{res: resByType(n.Res()), fanIn: n.FanIn(), fanOut: n.FanOut()}
+	}
+	live := m.LiveFuncs()
+	for _, f := range live {
 		fi := &funcInfo{res: resByType(b.FuncBoundResources(f)), mux: b.FuncMuxStats(f)}
 		worst := 0.0
 		for _, o := range f.Ops {
-			if d := e.lookup(o).slot.FinishDelay; d > worst {
+			if d := s.Slot(o).FinishDelay; d > worst {
 				worst = d
 			}
 		}
@@ -199,41 +194,9 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 		e.topInfo = &funcInfo{}
 	}
 	e.emptyFI = &funcInfo{}
-	e.nLive = len(m.LiveFuncs())
+	e.nLive = len(live)
 	e.seen = make([]int, len(g.Nodes))
 	return e
-}
-
-// buildTables fills nodeTab and opTab. The builder numbers ops densely,
-// but a module parsed from text may carry any unique IDs, so opTab stops
-// at a few times the op count and ops past it read through the maps.
-func (e *Extractor) buildTables() {
-	e.nodeTab = make([]nodeEntry, len(e.Graph.Nodes))
-	for _, n := range e.Graph.Nodes {
-		e.nodeTab[n.ID] = nodeEntry{res: resByType(n.Res()), fanIn: n.FanIn(), fanOut: n.FanOut()}
-	}
-	size := 0
-	for o := range e.Graph.OfOp {
-		if o.ID >= size {
-			size = o.ID + 1
-		}
-	}
-	size = min(size, 4*len(e.Graph.OfOp)+64)
-	e.opTab = make([]opEntry, size)
-	for o, n := range e.Graph.OfOp {
-		if o.ID >= 0 && o.ID < size && e.opTab[o.ID].op == nil {
-			e.opTab[o.ID] = opEntry{op: o, node: n, slot: e.Sched.Slots[o]}
-		}
-	}
-}
-
-// lookup returns o's graph node and schedule slot: nil and the zero slot
-// when o is missing from Graph.OfOp or Sched.Slots, as a map miss reads.
-func (e *Extractor) lookup(o *ir.Op) opEntry {
-	if id := uint(o.ID); id < uint(len(e.opTab)) && e.opTab[id].op == o {
-		return e.opTab[id]
-	}
-	return opEntry{op: o, node: e.Graph.OfOp[o], slot: e.Sched.Slots[o]}
 }
 
 // opCtx holds everything the registry reads about one op, computed once
@@ -312,34 +275,35 @@ type dtStats struct {
 // nothing.
 func (d *dtStats) collect(e *Extractor, c *opCtx) {
 	*d = dtStats{}
+	sched, gr := e.Sched, e.Graph
 	for _, ed := range c.op.Operands {
-		mid := e.lookup(ed.Def)
-		dt1 := float64(hls.SlotDeltaTcs(mid.slot, c.slot))
-		if mid.node != nil && mid.node != c.node {
-			addRatio(&d.predSum, &d.predMax, &e.nodeTab[mid.node.ID].res, dt1)
+		mid, midSlot := gr.NodeOf(ed.Def), sched.Slot(ed.Def)
+		dt1 := float64(hls.SlotDeltaTcs(midSlot, c.slot))
+		if mid != nil && mid != c.node {
+			addRatio(&d.predSum, &d.predMax, &e.nodeTab[mid.ID].res, dt1)
 		}
 		for _, ed2 := range ed.Def.Operands {
-			far := e.lookup(ed2.Def)
-			if far.node == nil || far.node == c.node {
+			far := gr.NodeOf(ed2.Def)
+			if far == nil || far == c.node {
 				continue
 			}
-			dt := dt1 + float64(hls.SlotDeltaTcs(far.slot, mid.slot))
-			addRatio(&d.pred2Sum, nil, &e.nodeTab[far.node.ID].res, dt)
+			dt := dt1 + float64(hls.SlotDeltaTcs(sched.Slot(ed2.Def), midSlot))
+			addRatio(&d.pred2Sum, nil, &e.nodeTab[far.ID].res, dt)
 		}
 	}
 	for _, u := range c.op.Users() {
-		mid := e.lookup(u)
-		dt1 := float64(hls.SlotDeltaTcs(c.slot, mid.slot))
-		if mid.node != nil && mid.node != c.node {
-			addRatio(&d.succSum, &d.succMax, &e.nodeTab[mid.node.ID].res, dt1)
+		mid, midSlot := gr.NodeOf(u), sched.Slot(u)
+		dt1 := float64(hls.SlotDeltaTcs(c.slot, midSlot))
+		if mid != nil && mid != c.node {
+			addRatio(&d.succSum, &d.succMax, &e.nodeTab[mid.ID].res, dt1)
 		}
 		for _, u2 := range u.Users() {
-			far := e.lookup(u2)
-			if far.node == nil || far.node == c.node {
+			far := gr.NodeOf(u2)
+			if far == nil || far == c.node {
 				continue
 			}
-			dt := dt1 + float64(hls.SlotDeltaTcs(mid.slot, far.slot))
-			addRatio(&d.succ2Sum, nil, &e.nodeTab[far.node.ID].res, dt)
+			dt := dt1 + float64(hls.SlotDeltaTcs(midSlot, sched.Slot(u2)))
+			addRatio(&d.succ2Sum, nil, &e.nodeTab[far.ID].res, dt)
 		}
 	}
 }
@@ -357,8 +321,11 @@ func addRatio(sum, max, res *[hls.ResourceTypeCount]float64, dt float64) {
 }
 
 func (e *Extractor) context(op *ir.Op) *opCtx {
-	ent := e.lookup(op)
-	node := ent.node
+	// An op's index only means something in its own module's tables.
+	var node *graph.Node
+	if op.Func.Module == e.Mod {
+		node = e.Graph.NodeOf(op)
+	}
 	if node == nil {
 		panic(fmt.Sprintf("features: op %s missing from graph", op.Name))
 	}
@@ -366,7 +333,7 @@ func (e *Extractor) context(op *ir.Op) *opCtx {
 	c.op = op
 	c.node = node
 	c.self = &e.nodeTab[node.ID]
-	c.slot = ent.slot
+	c.slot = e.Sched.Slot(op)
 	c.fi = e.funcInfo[op.Func]
 	c.char = hls.Characterize(op.Kind, op.Bitwidth)
 	if c.fi == nil {

@@ -1,7 +1,9 @@
 package features
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fpga"
@@ -296,6 +298,20 @@ func TestVectorIntoRejectsWrongLength(t *testing.T) {
 	ex.VectorInto(make([]float64, NumFeatures-1), m.AllOps()[0])
 }
 
+// TestVectorRejectsForeignOp: an op index only means something in its own
+// module, so an op of a content-identical twin module, whose index is in
+// range, must be refused rather than read another op's tables.
+func TestVectorRejectsForeignOp(t *testing.T) {
+	ex, _, _ := extractorFor(t)
+	_, _, twin := extractorFor(t)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "missing from graph") {
+			t.Fatalf("foreign op: recovered %v, want a missing-from-graph panic", r)
+		}
+	}()
+	ex.Vector(twin["add"])
+}
+
 // TestVectorIntoAllocationFree is the allocation regression guard of the
 // parallelism PR: once the extractor's scratch has warmed up, extracting a
 // feature vector into a caller-provided buffer must not allocate at all.
@@ -359,10 +375,10 @@ func benchExtractor(b *testing.B) (*Extractor, *ir.Module, map[string]*ir.Op) {
 	return ex, m, map[string]*ir.Op{"p": p, "mul": mul, "ld": ld, "add": add}
 }
 
-// TestVectorIgnoresOpIDLayout: the extractor's per-op table is indexed by
-// op ID, but IDs only have to be unique, not dense — a module parsed from
-// text can carry huge, negative or (before validation) repeated IDs. Every
-// vector must come out the same whatever the IDs are.
+// TestVectorIgnoresOpIDLayout: the extractor reads per-op tables by the
+// dense op index, never by op ID, and IDs only have to be unique — a
+// module parsed from text can carry huge, negative or (before validation)
+// repeated IDs. Every vector must come out the same whatever the IDs are.
 func TestVectorIgnoresOpIDLayout(t *testing.T) {
 	ex, m, _ := extractorFor(t)
 	ops := m.AllOps()

@@ -9,7 +9,8 @@
 package graph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/hls"
 	"repro/internal/ir"
@@ -72,74 +73,110 @@ type Edge struct {
 // Graph is the module-wide dependency graph.
 type Graph struct {
 	Nodes []*Node
-	OfOp  map[*ir.Op]*Node
+	// OfOp holds each op's node at its ir.Op.Index.
+	OfOp []*Node
 }
 
-// Build constructs the graph for a module. When binding is non-nil,
-// operations bound to one shared functional unit collapse into a combined
-// node; passing nil keeps one node per operation (the pre-merge graph).
-func Build(m *ir.Module, binding *hls.Binding) *Graph {
-	g := &Graph{OfOp: make(map[*ir.Op]*Node, m.NumOps())}
+// NodeOf returns the node holding o, or nil for an op the graph never saw.
+func (g *Graph) NodeOf(o *ir.Op) *Node {
+	if i := uint(o.Index()); i < uint(len(g.OfOp)) {
+		return g.OfOp[i]
+	}
+	return nil
+}
 
-	newNode := func(ops []*ir.Op) *Node {
-		n := &Node{ID: len(g.Nodes), Ops: ops, Kind: ops[0].Kind}
+// Build constructs the graph for a module. When binding is non-nil (and
+// binds m), operations bound to one shared functional unit collapse into a
+// combined node; passing nil keeps one node per operation (the pre-merge
+// graph).
+func Build(m *ir.Module, binding *hls.Binding) *Graph {
+	var ops []*ir.Op
+	var units []*hls.FU
+	if binding != nil {
+		ops, units = binding.Sched.Ops, binding.Units
+	} else {
+		ops = m.AllOps()
+	}
+	// Units partition the ops they bind, so no graph has more nodes than
+	// ops, and one slab holds them all.
+	slab := make([]Node, len(ops))
+	g := &Graph{Nodes: make([]*Node, 0, len(ops)), OfOp: make([]*Node, m.IndexBound())}
+	newNode := func(ops []*ir.Op) {
+		n := &slab[len(g.Nodes)]
+		*n = Node{ID: len(g.Nodes), Ops: ops, Kind: ops[0].Kind}
 		for _, o := range ops {
-			if o.Bitwidth > n.Bitwidth {
-				n.Bitwidth = o.Bitwidth
-			}
-			g.OfOp[o] = n
+			n.Bitwidth = max(n.Bitwidth, o.Bitwidth)
+			g.OfOp[o.Index()] = n
 		}
 		n.res = hls.Characterize(n.Kind, n.Bitwidth).Res
 		g.Nodes = append(g.Nodes, n)
-		return n
 	}
-
-	if binding != nil {
-		for _, u := range binding.Units {
-			newNode(u.Ops)
-		}
-		// Ops a binder never saw (none today, but keep the graph total).
-		for _, o := range m.AllOps() {
-			if g.OfOp[o] == nil {
-				newNode([]*ir.Op{o})
-			}
-		}
-	} else {
-		for _, o := range m.AllOps() {
-			newNode([]*ir.Op{o})
+	for _, u := range units {
+		newNode(u.Ops)
+	}
+	// Every op not bound to a unit (all of them without a binding; none a
+	// binder produces) gets a node of its own.
+	for i, o := range ops {
+		if g.OfOp[o.Index()] == nil {
+			newNode(ops[i : i+1 : i+1])
 		}
 	}
+	g.buildEdges(ops)
+	return g
+}
 
-	// Edges: combine parallel dependences, drop self-loops created by
-	// merging.
-	type key struct{ from, to int }
-	wires := make(map[key]int)
-	for _, o := range m.AllOps() {
-		to := g.OfOp[o]
+// buildEdges adds the dependence edges: parallel dependences between two
+// nodes combine into one edge with their wires summed, and self-loops
+// created by merging are dropped. Edges are ordered by (from, to) node ID,
+// in each node's In and Out lists too.
+func (g *Graph) buildEdges(ops []*ir.Op) {
+	type dep struct {
+		key   uint64 // from<<32 | to
+		wires int
+	}
+	n := 0
+	for _, o := range ops {
+		n += len(o.Operands)
+	}
+	deps := make([]dep, 0, n)
+	for _, o := range ops {
+		to := g.OfOp[o.Index()]
 		for _, e := range o.Operands {
-			from := g.OfOp[e.Def]
+			from := g.NodeOf(e.Def)
 			if from == nil || from == to {
 				continue
 			}
-			wires[key{from.ID, to.ID}] += e.Bits
+			deps = append(deps, dep{uint64(from.ID)<<32 | uint64(to.ID), e.Bits})
 		}
 	}
-	keys := make([]key, 0, len(wires))
-	for k := range wires {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
+	slices.SortFunc(deps, func(a, b dep) int { return cmp.Compare(a.key, b.key) })
+	// Merge runs of one (from, to) pair in place, counting node degrees.
+	nIn := make([]int32, len(g.Nodes))
+	nOut := make([]int32, len(g.Nodes))
+	merged := deps[:0]
+	for _, d := range deps {
+		if k := len(merged) - 1; k >= 0 && merged[k].key == d.key {
+			merged[k].wires += d.wires
+			continue
 		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		e := &Edge{From: g.Nodes[k.from], To: g.Nodes[k.to], Wires: wires[k]}
+		merged = append(merged, d)
+		nOut[d.key>>32]++
+		nIn[uint32(d.key)]++
+	}
+	// Carve every node's In and Out from one backing array, then append the
+	// edges in (from, to) order.
+	edges := make([]Edge, len(merged))
+	lists := make([]*Edge, 2*len(merged))
+	for i, n := range g.Nodes {
+		n.In, lists = lists[:0:nIn[i]], lists[nIn[i]:]
+		n.Out, lists = lists[:0:nOut[i]], lists[nOut[i]:]
+	}
+	for i, d := range merged {
+		e := &edges[i]
+		*e = Edge{From: g.Nodes[d.key>>32], To: g.Nodes[uint32(d.key)], Wires: d.wires}
 		e.From.Out = append(e.From.Out, e)
 		e.To.In = append(e.To.In, e)
 	}
-	return g
 }
 
 // Preds returns the distinct predecessor nodes.

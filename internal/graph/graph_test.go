@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -25,11 +26,11 @@ func TestBuildUnmerged(t *testing.T) {
 	if len(g.Nodes) != m.NumOps() {
 		t.Fatalf("nodes = %d, want one per op (%d)", len(g.Nodes), m.NumOps())
 	}
-	np := g.OfOp[p]
+	np := g.NodeOf(p)
 	if np.FanOut() != 32+8 {
 		t.Errorf("port fanout = %d, want 40", np.FanOut())
 	}
-	nd := g.OfOp[d]
+	nd := g.NodeOf(d)
 	if nd.FanIn() != 32+8 {
 		t.Errorf("d fanin = %d, want 40", nd.FanIn())
 	}
@@ -86,7 +87,7 @@ func TestParallelEdgesCombine(t *testing.T) {
 	// add uses p twice -> one combined edge of weight 32.
 	add := b.Op(ir.KindAdd, 16, p, p)
 	g := Build(m, nil)
-	na := g.OfOp[add]
+	na := g.NodeOf(add)
 	if len(na.In) != 1 {
 		t.Fatalf("parallel edges not combined: %d", len(na.In))
 	}
@@ -95,10 +96,72 @@ func TestParallelEdgesCombine(t *testing.T) {
 	}
 }
 
+// TestEdgesMatchReference checks the sort-and-merge edge construction
+// against a map-based reference on a random DAG with repeated operands and
+// shared units: one edge per dependent (from, to) node pair with the
+// operand wires summed, no self-loops, and every In and Out list ordered
+// by the other endpoint's node ID.
+func TestEdgesMatchReference(t *testing.T) {
+	m := ir.NewModule("m")
+	b := ir.NewBuilder(m.NewFunction("f"))
+	rng := rand.New(rand.NewSource(7))
+	vals := []*ir.Op{b.Port("p", 32), b.Port("q", 16)}
+	kinds := []ir.OpKind{ir.KindAdd, ir.KindMul, ir.KindXor, ir.KindSub}
+	for i := 0; i < 300; i++ {
+		x := vals[rng.Intn(len(vals))]
+		y := vals[len(vals)-1-rng.Intn(min(len(vals), 8))]
+		if i%5 == 0 {
+			y = x // a repeated operand: two parallel dependences
+		}
+		vals = append(vals, b.Op(kinds[rng.Intn(len(kinds))], 8+rng.Intn(25), x, y))
+	}
+	b.Ret(vals[len(vals)-1])
+	s, err := hls.ScheduleModule(m, hls.DefaultClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := hls.BindModule(s)
+	for _, bd := range []*hls.Binding{nil, bind} {
+		g := Build(m, bd)
+		type pair struct{ from, to int }
+		want := make(map[pair]int)
+		for _, o := range m.AllOps() {
+			for _, e := range o.Operands {
+				if from, to := g.NodeOf(e.Def), g.NodeOf(o); from != to {
+					want[pair{from.ID, to.ID}] += e.Bits
+				}
+			}
+		}
+		edges := 0
+		for _, n := range g.Nodes {
+			for i, e := range n.Out {
+				if e.From != n || (i > 0 && n.Out[i-1].To.ID >= e.To.ID) {
+					t.Fatalf("node %d: Out list not ordered by To", n.ID)
+				}
+				if w := want[pair{n.ID, e.To.ID}]; w != e.Wires {
+					t.Fatalf("edge %d->%d: %d wires, want %d", n.ID, e.To.ID, e.Wires, w)
+				}
+				edges++
+			}
+			for i, e := range n.In {
+				if e.To != n || (i > 0 && n.In[i-1].From.ID >= e.From.ID) {
+					t.Fatalf("node %d: In list not ordered by From", n.ID)
+				}
+			}
+		}
+		if edges != len(want) {
+			t.Fatalf("%d edges, want %d", edges, len(want))
+		}
+		if bd != nil && len(g.Nodes) == m.NumOps() {
+			t.Fatal("no units shared: the test needs merged nodes")
+		}
+	}
+}
+
 func TestPortNodes(t *testing.T) {
 	m, p, _, _, _ := diamond()
 	g := Build(m, nil)
-	if !g.OfOp[p].IsPort() {
+	if !g.NodeOf(p).IsPort() {
 		t.Error("port op not flagged as port node")
 	}
 }
@@ -112,7 +175,7 @@ func TestNeighborsK(t *testing.T) {
 	b2 := bb.Op(ir.KindNot, 8, a)
 	c := bb.Op(ir.KindNot, 8, b2)
 	g := Build(m, nil)
-	na := g.OfOp[a]
+	na := g.NodeOf(a)
 	if got := len(na.NeighborsK(1, DirPred)); got != 1 {
 		t.Errorf("1-hop preds = %d", got)
 	}
@@ -134,7 +197,7 @@ func TestNeighborsK(t *testing.T) {
 func TestMaxEdge(t *testing.T) {
 	m, p, _, _, d := diamond()
 	g := Build(m, nil)
-	w, fi, fo := g.OfOp[d].MaxEdge()
+	w, fi, fo := g.NodeOf(d).MaxEdge()
 	if w != 32 {
 		t.Errorf("max edge = %d", w)
 	}
@@ -150,7 +213,7 @@ func TestMaxEdge(t *testing.T) {
 func TestEdgeStatsK(t *testing.T) {
 	m, p, _, _, _ := diamond()
 	g := Build(m, nil)
-	total, count, max := g.OfOp[p].EdgeStatsK(2)
+	total, count, max := g.NodeOf(p).EdgeStatsK(2)
 	// Diamond has 4 edges total: p->a (32), p->c (8), a->d (32), c->d (8).
 	if count != 4 {
 		t.Errorf("edge count = %d, want 4", count)

@@ -38,7 +38,7 @@ func (s *Schedule) ComputeMobility(f *ir.Function) *Mobility {
 	// Walk in reverse creation order (reverse topological).
 	for i := len(f.Ops) - 1; i >= 0; i-- {
 		o := f.Ops[i]
-		slot := s.Slots[o]
+		slot := s.Slot(o)
 		dur := slot.End - slot.Start
 		// Latest completion allowed by users: min over users of their ALAP
 		// start; sink ops may finish at the function's depth.
@@ -48,10 +48,10 @@ func (s *Schedule) ComputeMobility(f *ir.Function) *Mobility {
 				// The producer's result must exist when the user starts;
 				// chained combinational pairs share a state.
 				limit := ua
-				if dur > 0 || s.Slots[u].Start != s.Slots[u].End {
+				if dur > 0 || s.Slot(u).Start != s.Slot(u).End {
 					// Sequential boundary: finish strictly before the user
 					// starts unless they chain in the same state.
-					if s.Slots[u].Start > slot.End {
+					if s.Slot(u).Start > slot.End {
 						limit = ua - 1
 					}
 				}

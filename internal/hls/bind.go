@@ -40,9 +40,10 @@ type MemBank struct {
 
 // Binding is the module-wide binding result.
 type Binding struct {
-	Sched  *Schedule
-	Units  []*FU
-	UnitOf map[*ir.Op]*FU
+	Sched *Schedule
+	Units []*FU
+	// UnitOf holds each bound op's unit at its ir.Op.Index.
+	UnitOf []*FU
 	Muxes  []*Mux
 	Banks  []*MemBank
 	BankOf map[*ir.Array][]*MemBank
@@ -75,36 +76,45 @@ func MuxResources(inputs, width int) Resources {
 func BindModule(s *Schedule) *Binding {
 	b := &Binding{
 		Sched:  s,
-		UnitOf: make(map[*ir.Op]*FU, s.Mod.NumOps()),
+		UnitOf: make([]*FU, s.Mod.IndexBound()),
 		BankOf: make(map[*ir.Array][]*MemBank),
 	}
+	// Each op creates at most one unit, so one slab holds every unit, and
+	// a second holds each unit's first op (a sharing op reallocates Ops).
+	slab := make([]FU, len(s.Ops))
+	first := make([]*ir.Op, len(s.Ops))
+	// candidates are the function's sharable units; busy[i] lists the
+	// [start,end] intervals in which candidates[i] is occupied. No other
+	// unit is ever shared, so no other unit's intervals are kept.
+	var candidates []*FU
+	var busy [][]span
+	var keys []opKey
 	nextFU := 0
 	nextBank := 0
 	for _, f := range s.Mod.LiveFuncs() {
-		// busy[fu] = list of [start,end] intervals, kept only per function.
-		busy := make(map[*FU][]span)
-		var candidates []*FU
-
-		for _, o := range s.SortedOps(f) {
-			slot := s.Slots[o]
-			pipelined := false
-			for l := o.Loop; l != nil; l = l.Parent {
-				if l.Pipelined {
-					pipelined = true
-					break
-				}
+		candidates, busy = candidates[:0], busy[:0]
+		keys = s.sortedKeys(f, keys)
+		for _, k := range keys {
+			o := k.op
+			slot := s.Slots[o.Index()]
+			// A multi-cycle unit is busy until the cycle before its result
+			// registers; a back-to-back successor may take it over in the
+			// result cycle itself.
+			busyEnd := slot.End
+			if busyEnd > slot.Start {
+				busyEnd--
 			}
+			sharable := Sharable(o.Kind, o.Bitwidth) && !inPipelinedLoop(o)
 			var unit *FU
-			if !pipelined && Sharable(o.Kind, o.Bitwidth) {
+			if sharable {
 				bucket := widthBucket(o.Bitwidth)
-				for _, u := range candidates {
-					if u.Kind != o.Kind || u.Width != bucket {
-						continue
-					}
-					if overlaps(busy[u], slot.Start, slot.End) {
+				for i, u := range candidates {
+					if u.Kind != o.Kind || u.Width != bucket || overlaps(busy[i], slot.Start, slot.End) {
 						continue
 					}
 					unit = u
+					unit.Ops = append(unit.Ops, o)
+					busy[i] = append(busy[i], span{slot.Start, busyEnd})
 					break
 				}
 			}
@@ -113,29 +123,24 @@ func BindModule(s *Schedule) *Binding {
 				if Sharable(o.Kind, o.Bitwidth) {
 					width = widthBucket(o.Bitwidth)
 				}
-				unit = &FU{
+				unit = &slab[nextFU]
+				first[nextFU] = o
+				*unit = FU{
 					ID:    nextFU,
 					Kind:  o.Kind,
 					Width: width,
 					Func:  f,
+					Ops:   first[nextFU : nextFU+1 : nextFU+1],
 					Res:   Characterize(o.Kind, width).Res,
 				}
 				nextFU++
 				b.Units = append(b.Units, unit)
-				if Sharable(o.Kind, o.Bitwidth) && !pipelined {
+				if sharable {
 					candidates = append(candidates, unit)
+					busy = append(busy, []span{{slot.Start, busyEnd}})
 				}
 			}
-			unit.Ops = append(unit.Ops, o)
-			// A multi-cycle unit is busy until the cycle before its result
-			// registers; a back-to-back successor may take it over in the
-			// result cycle itself.
-			busyEnd := slot.End
-			if busyEnd > slot.Start {
-				busyEnd--
-			}
-			busy[unit] = append(busy[unit], span{slot.Start, busyEnd})
-			b.UnitOf[o] = unit
+			b.UnitOf[o.Index()] = unit
 		}
 
 		for _, a := range f.Arrays {
@@ -151,16 +156,29 @@ func BindModule(s *Schedule) *Binding {
 				DSP:  per.DSP / banks,
 				BRAM: per.BRAM / banks,
 			}
-			for i := 0; i < banks; i++ {
-				mb := &MemBank{ID: nextBank, Array: a, Index: i, Res: each}
+			mbs := make([]MemBank, banks)
+			of := make([]*MemBank, banks)
+			for i := range mbs {
+				mbs[i] = MemBank{ID: nextBank, Array: a, Index: i, Res: each}
 				nextBank++
-				b.Banks = append(b.Banks, mb)
-				b.BankOf[a] = append(b.BankOf[a], mb)
+				of[i] = &mbs[i]
 			}
+			b.Banks = append(b.Banks, of...)
+			b.BankOf[a] = append(b.BankOf[a], of...)
 		}
 	}
 	b.insertMuxes()
 	return b
+}
+
+// inPipelinedLoop reports whether any loop enclosing o is pipelined.
+func inPipelinedLoop(o *ir.Op) bool {
+	for l := o.Loop; l != nil; l = l.Parent {
+		if l.Pipelined {
+			return true
+		}
+	}
+	return false
 }
 
 func (b *Binding) insertMuxes() {

@@ -111,7 +111,7 @@ func TestBindingEveryOpHasUnit(t *testing.T) {
 	m := serialMuls(5)
 	b := bindOf(t, m)
 	for _, o := range m.AllOps() {
-		u := b.UnitOf[o]
+		u := b.UnitOf[o.Index()]
 		if u == nil {
 			t.Fatalf("op %v has no unit", o)
 		}

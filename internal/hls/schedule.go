@@ -1,8 +1,9 @@
 package hls
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -38,12 +39,22 @@ type Schedule struct {
 	Mod   *ir.Module
 	Clock Clock
 	Alloc Allocation
-	Slots map[*ir.Op]OpSlot
+	// Ops is the module's live ops in ID order (ir.Module.AllOps), sorted
+	// once while validating; binding, the graph and PredictModule reuse it.
+	Ops []*ir.Op
+	// Slots holds each scheduled op's slot at its ir.Op.Index.
+	Slots []OpSlot
 	Funcs map[*ir.Function]*FuncSchedule
 }
 
-// Slot returns the schedule slot of an op.
-func (s *Schedule) Slot(o *ir.Op) OpSlot { return s.Slots[o] }
+// Slot returns the schedule slot of an op, or the zero slot for an op the
+// schedule never saw.
+func (s *Schedule) Slot(o *ir.Op) OpSlot {
+	if i := uint(o.Index()); i < uint(len(s.Slots)) {
+		return s.Slots[i]
+	}
+	return OpSlot{}
+}
 
 // DeltaTcs returns the paper's ΔTcs between a producer and a consumer: the
 // number of control states separating the producer's result from the
@@ -51,7 +62,7 @@ func (s *Schedule) Slot(o *ir.Op) OpSlot { return s.Slots[o] }
 // finite. Operations chained in the same state have the tightest possible
 // spatial constraint, ΔTcs = 1.
 func (s *Schedule) DeltaTcs(producer, consumer *ir.Op) int {
-	return SlotDeltaTcs(s.Slots[producer], s.Slots[consumer])
+	return SlotDeltaTcs(s.Slot(producer), s.Slot(consumer))
 }
 
 // SlotDeltaTcs is DeltaTcs on the producer's and consumer's slots, for
@@ -76,49 +87,54 @@ func ScheduleModule(m *ir.Module, clock Clock) (*Schedule, error) {
 
 // ScheduleModuleAlloc is ScheduleModule under per-kind allocation limits.
 func ScheduleModuleAlloc(m *ir.Module, clock Clock, alloc Allocation) (*Schedule, error) {
-	if err := ir.Validate(m); err != nil {
+	ops, err := ir.ValidatedOps(m)
+	if err != nil {
 		return nil, fmt.Errorf("hls: schedule: %w", err)
 	}
 	s := &Schedule{
 		Mod:   m,
 		Clock: clock,
 		Alloc: alloc,
-		Slots: make(map[*ir.Op]OpSlot, m.NumOps()),
+		Ops:   ops,
+		Slots: make([]OpSlot, m.IndexBound()),
 		Funcs: make(map[*ir.Function]*FuncSchedule),
 	}
-	for _, f := range m.LiveFuncs() {
-		if err := s.scheduleFunc(f); err != nil {
+	// done marks, by op index, the ops already placed: the topological
+	// check of every function shares it, as ops belong to one function.
+	done := make([]uint64, (m.IndexBound()+63)/64)
+	live := m.LiveFuncs()
+	for _, f := range live {
+		if err := s.scheduleFunc(f, done); err != nil {
 			return nil, err
 		}
 	}
 	// Latency roll-up needs callees resolved first; LiveFuncs puts the top
 	// first, so compute in reverse dependency order by iterating until fixed
 	// (call graphs here are acyclic and shallow).
-	for _, f := range m.LiveFuncs() {
+	for _, f := range live {
 		s.computeLatency(f)
 	}
 	s.computeLatency(m.Top)
 	return s, nil
 }
 
-func (s *Schedule) scheduleFunc(f *ir.Function) error {
+func (s *Schedule) scheduleFunc(f *ir.Function, done []uint64) error {
 	budget := s.Clock.Budget()
 	if budget <= 0 {
 		return fmt.Errorf("hls: clock budget %.2f ns is not positive", budget)
 	}
 	// Builders emit operands before users, so f.Ops is already topological;
-	// verify rather than trust.
-	pos := make(map[*ir.Op]int, len(f.Ops))
-	for i, o := range f.Ops {
-		pos[o] = i
-	}
+	// verify rather than trust. Validate keeps every operand in f, so an
+	// operand is in order exactly when it was marked before its user.
 	for _, o := range f.Ops {
 		for _, e := range o.Operands {
-			if pos[e.Def] >= pos[o] {
+			if i := e.Def.Index(); done[i/64]&(1<<(i%64)) == 0 {
 				return fmt.Errorf("hls: function %q ops not topologically ordered (%s before %s)",
 					f.Name, o.Name, e.Def.Name)
 			}
 		}
+		i := o.Index()
+		done[i/64] |= 1 << (i % 64)
 	}
 
 	// portsUsed[array][state] counts memory accesses issued that state;
@@ -132,7 +148,7 @@ func (s *Schedule) scheduleFunc(f *ir.Function) error {
 		state := 0
 		inDelay := 0.0
 		for _, e := range o.Operands {
-			dep := s.Slots[e.Def]
+			dep := s.Slots[e.Def.Index()]
 			if dep.End > state {
 				state = dep.End
 				inDelay = dep.FinishDelay
@@ -163,7 +179,7 @@ func (s *Schedule) scheduleFunc(f *ir.Function) error {
 				slot = OpSlot{Start: start, End: start, FinishDelay: ch.DelayNS}
 			}
 		}
-		s.Slots[o] = slot
+		s.Slots[o.Index()] = slot
 		if slot.End > maxEnd {
 			maxEnd = slot.End
 		}
@@ -243,7 +259,7 @@ func (s *Schedule) computeLatency(f *ir.Function) {
 			if !match(o) {
 				continue
 			}
-			sl := s.Slots[o]
+			sl := s.Slots[o.Index()]
 			if minS < 0 || sl.Start < minS {
 				minS = sl.Start
 			}
@@ -331,16 +347,26 @@ func EstimateModuleResources(m *ir.Module) Resources {
 	return r
 }
 
-// SortedOps returns the function's ops ordered by (Start, ID) — the order
-// binding walks them.
-func (s *Schedule) SortedOps(f *ir.Function) []*ir.Op {
-	ops := append([]*ir.Op(nil), f.Ops...)
-	sort.Slice(ops, func(i, j int) bool {
-		a, b := s.Slots[ops[i]], s.Slots[ops[j]]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+// opKey is an op with its (Start, ID) sort key read out once, so sorting
+// compares plain integers.
+type opKey struct {
+	start, id int
+	op        *ir.Op
+}
+
+// sortedKeys fills buf with the keys of f's ops in (Start, ID) order, the
+// order binding walks them. IDs are unique in a validated module, so the
+// order is total.
+func (s *Schedule) sortedKeys(f *ir.Function, buf []opKey) []opKey {
+	buf = buf[:0]
+	for _, o := range f.Ops {
+		buf = append(buf, opKey{start: s.Slots[o.Index()].Start, id: o.ID, op: o})
+	}
+	slices.SortFunc(buf, func(a, b opKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return ops[i].ID < ops[j].ID
+		return cmp.Compare(a.id, b.id)
 	})
-	return ops
+	return buf
 }

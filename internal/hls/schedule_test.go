@@ -1,6 +1,7 @@
 package hls
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -17,6 +18,27 @@ func chainModule(n int, width int) (*ir.Module, []*ir.Op) {
 		ops = append(ops, cur)
 	}
 	return m, ops
+}
+
+// TestScheduleRejectsUnorderedOps: the scheduler trusts no builder's op
+// order. A user listed before its operand, in a function scheduled after
+// another one (whose ops share the module-wide placed-op marks), is
+// rejected.
+func TestScheduleRejectsUnorderedOps(t *testing.T) {
+	m := ir.NewModule("m")
+	top := ir.NewBuilder(m.NewFunction("top"))
+	top.Ret(top.Port("t", 8))
+	f := m.NewFunction("g")
+	b := ir.NewBuilder(f)
+	p := b.Port("p", 8)
+	b.Ret(b.Op(ir.KindNot, 8, b.Op(ir.KindNot, 8, p)))
+	if _, err := ScheduleModule(m, DefaultClock()); err != nil {
+		t.Fatal(err)
+	}
+	f.Ops[1], f.Ops[2] = f.Ops[2], f.Ops[1]
+	if _, err := ScheduleModule(m, DefaultClock()); err == nil || !strings.Contains(err.Error(), "not topologically ordered") {
+		t.Fatalf("err = %v", err)
+	}
 }
 
 func TestScheduleChainsWithinBudget(t *testing.T) {
@@ -236,11 +258,14 @@ func TestSortedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := s.SortedOps(m.Top)
-	for i := 1; i < len(ops); i++ {
-		a, b := s.Slot(ops[i-1]), s.Slot(ops[i])
-		if a.Start > b.Start {
-			t.Fatal("SortedOps not ordered by start state")
+	keys := s.sortedKeys(m.Top, nil)
+	if len(keys) != len(m.Top.Ops) {
+		t.Fatalf("%d keys for %d ops", len(keys), len(m.Top.Ops))
+	}
+	for i := 1; i < len(keys); i++ {
+		a, b := s.Slot(keys[i-1].op), s.Slot(keys[i].op)
+		if a.Start > b.Start || (a.Start == b.Start && keys[i-1].op.ID >= keys[i].op.ID) {
+			t.Fatal("ops not ordered by (start state, ID)")
 		}
 	}
 }
@@ -269,7 +294,7 @@ func TestComputeMobility(t *testing.T) {
 		if mob.Slack[o] < 0 {
 			t.Fatalf("negative slack on %v", o)
 		}
-		if mob.ALAPStart[o] < s.Slots[o].Start {
+		if mob.ALAPStart[o] < s.Slot(o).Start {
 			t.Fatalf("ALAP before ASAP on %v", o)
 		}
 	}
@@ -329,7 +354,7 @@ func TestAllocationLimitSerializes(t *testing.T) {
 		if o.Kind != ir.KindMul {
 			continue
 		}
-		sl := limited.Slots[o]
+		sl := limited.Slot(o)
 		for st := sl.Start; st < sl.End; st++ {
 			occupancy[st]++
 			if occupancy[st] > 2 {
@@ -367,8 +392,8 @@ func TestAllocationUnlimitedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range m.AllOps() {
-		if o.Kind == ir.KindMul && s.Slots[o].Start != 0 {
-			t.Fatalf("unconstrained mul delayed to state %d", s.Slots[o].Start)
+		if o.Kind == ir.KindMul && s.Slot(o).Start != 0 {
+			t.Fatalf("unconstrained mul delayed to state %d", s.Slot(o).Start)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func (b *Builder) OpEdges(kind OpKind, bitwidth int, edges ...Operand) *Op {
 		panic(fmt.Sprintf("ir: op %s with non-positive bitwidth %d", kind, bitwidth))
 	}
 	m := b.F.Module
-	o := &Op{
+	o := m.newOp(&Op{
 		ID:        m.nextOpID,
 		Kind:      kind,
 		Bitwidth:  bitwidth,
@@ -108,7 +108,7 @@ func (b *Builder) OpEdges(kind OpKind, bitwidth int, edges ...Operand) *Op {
 		Src:       b.src,
 		ReplicaOf: -1,
 		Operands:  edges,
-	}
+	})
 	m.nextOpID++
 	for i := range edges {
 		e := &o.Operands[i]

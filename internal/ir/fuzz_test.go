@@ -9,7 +9,8 @@ import (
 // reads module text off the network in a fleet build. No input may panic,
 // and an accepted module must be valid and serialize to text that parses
 // back to the same text: what a worker accepts, it hashes as the
-// coordinator does.
+// coordinator does. Its ops' dense indices must be unique and in bounds
+// whatever IDs the text gave them.
 func FuzzParseText(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteText(&buf, textRoundTripModule()); err != nil {
@@ -30,6 +31,7 @@ func FuzzParseText(f *testing.F) {
 		if err := Validate(m); err != nil {
 			t.Fatalf("accepted module fails Validate: %v", err)
 		}
+		checkIndices(t, m)
 		var first bytes.Buffer
 		if err := WriteText(&first, m); err != nil {
 			t.Fatalf("accepted module does not serialize: %v", err)

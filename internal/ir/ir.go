@@ -12,7 +12,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -193,7 +195,15 @@ type Op struct {
 	ReplicaIdx int
 
 	users []*Op // reverse edges, maintained by the builder
+	idx   int   // dense module-wide index, set once when the op is created
 }
+
+// Index returns the op's dense module-wide index: unique among every op the
+// module ever created and below Module.IndexBound. Unlike ID, which text IR
+// may make sparse, huge or negative, it can index a slice. It never changes
+// after creation, so tables built from it stay valid while other
+// goroutines read the module.
+func (o *Op) Index() int { return o.idx }
 
 // Users returns the operations that consume this op's result, one entry
 // per operand edge (an operation using the value twice appears twice). The
@@ -353,6 +363,7 @@ type Module struct {
 
 	nextOpID   int
 	nextLoopID int
+	nextIdx    int
 }
 
 // NewModule creates an empty design.
@@ -379,6 +390,18 @@ func (m *Module) SetTop(f *Function) {
 	}
 	m.Top = f
 	f.IsTop = true
+}
+
+// IndexBound returns one past the largest Op.Index in the module: the
+// length of a table indexed by Index. Ops removed by a pass or inlined away
+// keep their index, so the bound can exceed NumOps.
+func (m *Module) IndexBound() int { return m.nextIdx }
+
+// newOp gives o the module's next dense index and returns it.
+func (m *Module) newOp(o *Op) *Op {
+	o.idx = m.nextIdx
+	m.nextIdx++
+	return o
 }
 
 // LiveFuncs returns the functions that still own operations (i.e. have not
@@ -411,14 +434,13 @@ func (m *Module) FuncByName(name string) *Function {
 
 // AllOps returns every operation in every live function, in ID order.
 func (m *Module) AllOps() []*Op {
-	var ops []*Op
+	ops := make([]*Op, 0, m.NumOps())
 	for _, f := range m.Funcs {
-		if f.Inlined {
-			continue
+		if !f.Inlined {
+			ops = append(ops, f.Ops...)
 		}
-		ops = append(ops, f.Ops...)
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
+	slices.SortFunc(ops, func(a, b *Op) int { return cmp.Compare(a.ID, b.ID) })
 	return ops
 }
 

@@ -291,7 +291,7 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 	if !kind.Valid() {
 		return nil, fmt.Errorf("unknown op kind %q", fields[2])
 	}
-	o := &Op{ID: id, Kind: kind, Func: f, ReplicaOf: -1}
+	o := f.Module.newOp(&Op{ID: id, Kind: kind, Func: f, ReplicaOf: -1})
 	o.Name = defaultOpName(kind, id)
 	rest := fields[3:]
 	if len(rest) > 0 && strings.HasPrefix(rest[0], "\"") {

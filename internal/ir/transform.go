@@ -137,7 +137,7 @@ func inlineCall(m *Module, caller, callee *Function, call *Op) error {
 			}
 			continue
 		}
-		c := &Op{
+		c := m.newOp(&Op{
 			ID:         m.nextOpID,
 			Kind:       o.Kind,
 			Name:       fmt.Sprintf("%s.%s", callee.Name, o.Name),
@@ -148,7 +148,7 @@ func inlineCall(m *Module, caller, callee *Function, call *Op) error {
 			Array:      o.Array,
 			ReplicaOf:  o.ReplicaOf,
 			ReplicaIdx: o.ReplicaIdx,
-		}
+		})
 		m.nextOpID++
 		for _, e := range o.Operands {
 			d, ok := clone[e.Def]
@@ -222,7 +222,7 @@ func ReplicateProducer(m *Module, producer *Op) []*Op {
 	f := producer.Func
 	var clones []*Op
 	for _, u := range users[1:] {
-		c := &Op{
+		c := m.newOp(&Op{
 			ID:        m.nextOpID,
 			Kind:      producer.Kind,
 			Name:      fmt.Sprintf("%s.rep%d", producer.Name, len(clones)+1),
@@ -232,7 +232,7 @@ func ReplicateProducer(m *Module, producer *Op) []*Op {
 			Src:       producer.Src,
 			Array:     producer.Array,
 			ReplicaOf: -1,
-		}
+		})
 		m.nextOpID++
 		for _, e := range producer.Operands {
 			c.Operands = append(c.Operands, e)

@@ -13,63 +13,72 @@ import "fmt"
 //
 // It returns the first violation found, or nil.
 func Validate(m *Module) error {
+	_, err := ValidatedOps(m)
+	return err
+}
+
+// ValidatedOps is Validate returning AllOps on success. The duplicate-ID
+// check walks adjacent pairs of the ID-sorted op list, which is the list
+// AllOps returns, so a caller that needs both sorts once.
+func ValidatedOps(m *Module) ([]*Op, error) {
 	if m.Top == nil {
-		return fmt.Errorf("ir: module %q has no top function", m.Name)
+		return nil, fmt.Errorf("ir: module %q has no top function", m.Name)
 	}
 	if m.Top.Inlined {
-		return fmt.Errorf("ir: top function %q is inlined", m.Top.Name)
+		return nil, fmt.Errorf("ir: top function %q is inlined", m.Top.Name)
 	}
-	seen := make(map[int]*Op)
 	for _, f := range m.Funcs {
 		if f.Inlined {
 			continue
 		}
 		for _, l := range f.Loops {
 			if l.Func != f {
-				return fmt.Errorf("ir: loop %q listed by %q but owned by %q", l.Name, f.Name, l.Func.Name)
+				return nil, fmt.Errorf("ir: loop %q listed by %q but owned by %q", l.Name, f.Name, l.Func.Name)
 			}
 			if l.TripCount < 1 {
-				return fmt.Errorf("ir: loop %q has trip count %d", l.Name, l.TripCount)
+				return nil, fmt.Errorf("ir: loop %q has trip count %d", l.Name, l.TripCount)
 			}
 		}
 		for _, o := range f.Ops {
-			if prev, dup := seen[o.ID]; dup {
-				return fmt.Errorf("ir: duplicate op ID %d (%s and %s)", o.ID, prev.Name, o.Name)
-			}
-			seen[o.ID] = o
 			if o.Func != f {
-				return fmt.Errorf("ir: op %s listed by %q but owned by %q", o.Name, f.Name, o.Func.Name)
+				return nil, fmt.Errorf("ir: op %s listed by %q but owned by %q", o.Name, f.Name, o.Func.Name)
 			}
 			if o.Bitwidth <= 0 {
-				return fmt.Errorf("ir: op %s has bitwidth %d", o.Name, o.Bitwidth)
+				return nil, fmt.Errorf("ir: op %s has bitwidth %d", o.Name, o.Bitwidth)
 			}
 			if o.Kind.IsMemory() && o.Array == nil {
-				return fmt.Errorf("ir: memory op %s has no array", o.Name)
+				return nil, fmt.Errorf("ir: memory op %s has no array", o.Name)
 			}
 			for _, e := range o.Operands {
 				if e.Def == nil {
-					return fmt.Errorf("ir: op %s has nil operand", o.Name)
+					return nil, fmt.Errorf("ir: op %s has nil operand", o.Name)
 				}
 				if e.Def.Func != f {
-					return fmt.Errorf("ir: op %s uses %s across function boundary (%q -> %q)",
+					return nil, fmt.Errorf("ir: op %s uses %s across function boundary (%q -> %q)",
 						o.Name, e.Def.Name, e.Def.Func.Name, f.Name)
 				}
 				if e.Bits <= 0 || e.Bits > e.Def.Bitwidth {
-					return fmt.Errorf("ir: op %s edge from %s has weight %d (producer width %d)",
+					return nil, fmt.Errorf("ir: op %s edge from %s has weight %d (producer width %d)",
 						o.Name, e.Def.Name, e.Bits, e.Def.Bitwidth)
 				}
 				if !hasUser(e.Def, o) {
-					return fmt.Errorf("ir: op %s missing from user list of %s", o.Name, e.Def.Name)
+					return nil, fmt.Errorf("ir: op %s missing from user list of %s", o.Name, e.Def.Name)
 				}
 			}
 			for _, u := range o.users {
 				if !hasOperand(u, o) {
-					return fmt.Errorf("ir: stale user %s on op %s", u.Name, o.Name)
+					return nil, fmt.Errorf("ir: stale user %s on op %s", u.Name, o.Name)
 				}
 			}
 		}
 	}
-	return nil
+	ops := m.AllOps()
+	for i := 1; i < len(ops); i++ {
+		if prev, o := ops[i-1], ops[i]; prev.ID == o.ID {
+			return nil, fmt.Errorf("ir: duplicate op ID %d (%s and %s)", o.ID, prev.Name, o.Name)
+		}
+	}
+	return ops, nil
 }
 
 func hasUser(def, user *Op) bool {

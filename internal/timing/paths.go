@@ -32,7 +32,7 @@ func CriticalPaths(s *hls.Schedule, nl *rtl.Netlist, rr *route.Result, md Model,
 	for _, c := range nl.Cells {
 		worst := 0.5
 		for _, o := range c.Ops() {
-			if d := s.Slots[o].FinishDelay; d > worst {
+			if d := s.Slot(o).FinishDelay; d > worst {
 				worst = d
 			}
 		}

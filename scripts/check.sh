@@ -83,12 +83,16 @@ go test -count=1 -run 'ZeroAlloc' ./internal/ml/ ./internal/core/
 # nothing once warm (toy design and Face Detection), and PredictModule's
 # distinct-row scoring scores every op exactly as PredictSample does: its
 # row table keys on bits (−0/+0 and NaN payloads stay apart), survives
-# long probe chains, and adds rows without allocating.
+# long probe chains, and adds rows without allocating. The front half keys
+# its tables by the dense op index: every IR transform and the text parser
+# keep indices unique and in bounds, and a design whose text IR carries
+# sparse, huge and negative op IDs predicts bit-equal to the builder's.
 step "feature extraction identity + zero-alloc"
 go test -count=1 \
 	-run 'TestGoldenFeatureDigest|TestScratchNeighborhoodsMatchGraphQueries|TestVectorIntoAllocationFree' \
 	./internal/features/
-go test -count=1 -run 'TestPredictModuleBlockBoundaries|TestPredictModuleEmptyModule|TestRowSet' ./internal/core/
+go test -count=1 -run 'TestPredictModuleBlockBoundaries|TestPredictModuleEmptyModule|TestRowSet|TestPredictModuleSparseTextIDs' ./internal/core/
+go test -count=1 -run 'TestIndexAfter' ./internal/ir/
 
 # The serving layer's allocation contract: the whole /predict hot path —
 # admission, pooled decode (both wire formats), coalescing, prediction,
